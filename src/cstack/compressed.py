@@ -21,7 +21,7 @@ memory stays bounded even while rebuilding a large block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -33,10 +33,6 @@ from .core import (
     StackInterface,
 )
 from .metrics import MemoryMeter
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,10 +112,11 @@ class BlockSignature:
     """O(1) summary of a folded block: surviving range, bottom entry, floor.
 
     `floor` holds copies of up to k entries directly below `bottom`; they are
-    readable during a replay of this block but never poppable.
+    readable during a replay of this block but never poppable.  The block's
+    level is where the signature sits: level 1 in a stack's `tail`, level lv
+    in a component's finished[lv-2].
     """
 
-    level: int
     first_index: int
     last_index: int
     bottom: Data
@@ -135,10 +132,9 @@ class Component:
     finished level-lv blocks inside the currently active level-(lv-1) block.
     """
 
-    __slots__ = ("origin", "ref_index", "finished", "explicit", "explicit_floor")
+    __slots__ = ("ref_index", "finished", "explicit", "explicit_floor")
 
-    def __init__(self, origin: int, ref_index: int, h: int):
-        self.origin = origin
+    def __init__(self, ref_index: int, h: int):
         self.ref_index = ref_index
         self.finished: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 1))]
         self.explicit: list[Data] = []
@@ -152,18 +148,6 @@ class Component:
             if self.finished[i]:
                 return i + 2
         return None
-
-    def top_index(self) -> int:
-        if self.explicit:
-            return self.explicit[-1].index
-        lv = self.deepest_nonempty_level()
-        return self.finished[lv - 2][-1].last_index
-
-    def bottom_index(self) -> int:
-        for lst in self.finished:
-            if lst:
-                return lst[0].first_index
-        return self.explicit[0].index
 
 
 class CompressedStack(StackInterface):
@@ -245,10 +229,6 @@ class CompressedStack(StackInterface):
     def probe_depth(self) -> int:
         return self.live + len(self.floor)
 
-    @property
-    def reconstructions(self) -> int:
-        return self.meter.reconstructions
-
     def push(self, d: Data) -> None:
         if d.index <= self._max_index:
             raise ContractError(
@@ -259,7 +239,7 @@ class CompressedStack(StackInterface):
             self.degraded = True
         g = self.geom
         if self.first is None:
-            self.first = Component(g.block_start(d.index, 1), d.index, g.h)
+            self.first = Component(d.index, g.h)
         else:
             cross = g.cross_level(self.first.ref_index, d.index)
             if cross == 1:
@@ -267,7 +247,7 @@ class CompressedStack(StackInterface):
                 if sig is not None:
                     self.tail.append(sig)
                 self.second = self.first
-                self.first = Component(g.block_start(d.index, 1), d.index, g.h)
+                self.first = Component(d.index, g.h)
             elif cross is not None:
                 sig = self._collapse(self.first, cross + 1)
                 if sig is not None:
@@ -399,7 +379,7 @@ class CompressedStack(StackInterface):
         comp.explicit = []
         comp.explicit_floor = ()
         self.meter.alloc_sig()
-        return BlockSignature(from_level - 1, first_index, last_index, bottom, floor)
+        return BlockSignature(first_index, last_index, bottom, floor)
 
     def _free_sig(self, sig: BlockSignature) -> None:
         self.meter.free_sig()
@@ -423,29 +403,29 @@ class CompressedStack(StackInterface):
         if self.second is not None and self.second.has_survivors():
             return self.second
         sig = self.tail.pop()
-        comp = Component(self.geom.block_start(sig.first_index, 1), sig.last_index, self.geom.h)
+        comp = Component(sig.last_index, self.geom.h)
         self.second = comp
-        self._expand_into(comp, sig)
+        self._expand_into(comp, sig, 1)
         return comp
 
     def _materialize_explicit(self, comp: Component) -> None:
         lv = comp.deepest_nonempty_level()
         sig = comp.finished[lv - 2].pop()
-        self._expand_into(comp, sig)
+        self._expand_into(comp, sig, lv)
 
-    def _expand_into(self, comp: Component, sig: BlockSignature) -> None:
-        """Rebuild sig's surviving content in detail inside comp.
+    def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
+        """Rebuild sig, the signature of a level-lv block, in detail inside comp.
 
         The replay runs on a scratch stack restricted to the signature's
-        block; the scratch's state is then spliced into comp below level
-        sig.level, and the signature's own records are released.
+        block, where level i is level lv + i here; the scratch's lists then
+        move into comp below level lv.  The scratch and the signature's own
+        records are released whether or not the replay succeeds.
         """
         if self.replay is None:
             raise StackError("no replay delegate bound; cannot reconstruct")
-        assert not comp.explicit and all(not l for l in comp.finished[sig.level - 1 :])
-        start = self.geom.block_start(sig.first_index, sig.level)
+        assert not comp.explicit and all(not l for l in comp.finished[lv - 1 :])
         scratch = CompressedStack(
-            geometry=self.geom.sub_geometry(sig.level, start),
+            geometry=self.geom.sub_geometry(lv, self.geom.block_start(sig.first_index, lv)),
             k=self.k,
             meter=self.meter,
             replay=self.replay,
@@ -453,31 +433,24 @@ class CompressedStack(StackInterface):
             guard_index=sig.first_index,
         )
         self.meter.reconstructions += 1
-        self.replay(scratch, sig.bottom, sig.last_index)
-        lv = sig.level
-        h = self.geom.h
-        parts = [replace(s, level=s.level + lv) for s in scratch.tail]
-        scratch.tail = []
-        if scratch.second is not None and scratch.second.has_survivors():
-            second_sig = scratch._collapse(scratch.second, 2)
-            parts.append(replace(second_sig, level=second_sig.level + lv))
-        scratch.second = None
-        inner = scratch.first
-        if lv < h:
-            comp.finished[lv - 1] = parts
-            for i, lst in enumerate(inner.finished):
-                comp.finished[lv + i] = [replace(s, level=s.level + lv) for s in lst]
-        elif parts:
-            raise StackError("level-h replay produced sub-block signatures")
-        comp.explicit = inner.explicit
-        comp.explicit_floor = inner.explicit_floor
-        comp.ref_index = sig.last_index
-        inner.explicit = []
-        inner.explicit_floor = ()
-        inner.finished = [[] for _ in inner.finished]
-        scratch.live = 0
-        scratch.dispose()
-        self._free_sig(sig)
+        try:
+            self.replay(scratch, sig.bottom, sig.last_index)
+            if scratch.second is not None and scratch.second.has_survivors():
+                scratch.tail.append(scratch._collapse(scratch.second, 2))
+            inner = scratch.first
+            if lv < self.geom.h:
+                comp.finished[lv - 1] = scratch.tail
+                comp.finished[lv:] = inner.finished
+            elif scratch.tail:
+                raise StackError("level-h replay produced sub-block signatures")
+            comp.explicit = inner.explicit
+            comp.explicit_floor = inner.explicit_floor
+            comp.ref_index = sig.last_index
+            scratch.tail = []
+            scratch.first = scratch.second = None
+        finally:
+            scratch.dispose()
+            self._free_sig(sig)
         if not comp.explicit:
             raise StackError(
                 f"replay of block [{sig.first_index}..{sig.last_index}] left no top entry"
@@ -528,6 +501,11 @@ class CompressedStack(StackInterface):
         yield "bottom", sig.bottom
 
     def resident_data_count(self) -> int:
+        """Entry copies held by the buffer and the two detailed components.
+
+        Tail signatures are left out: the tail is capped separately, by
+        tail_within_cap.
+        """
         n = len(self.buffer)
         for comp in (self.first, self.second):
             if comp is None:
@@ -563,13 +541,7 @@ class CompressedStack(StackInterface):
 
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by tests and the checker."""
-        assert self.resident_data_count() <= self.resident_data_bound(), (
-            f"resident {self.resident_data_count()} exceeds bound "
-            f"{self.resident_data_bound()}"
-        )
-        assert self.tail_within_cap(), (
-            f"tail holds {len(self.tail)} signatures, cap is {self.geom.p - 2}"
-        )
+        self.check_space_cap()
         prev = self.geom.origin - 1
         for sig in self.tail:
             assert prev < sig.first_index <= sig.last_index

@@ -68,9 +68,6 @@ class StackInterface:
         """j-th entry from the top (top(1) is the top) without modification."""
         raise NotImplementedError
 
-    def is_empty(self) -> bool:
-        return self.len() == 0
-
     def len(self) -> int:
         raise NotImplementedError
 

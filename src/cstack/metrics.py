@@ -1,10 +1,10 @@
 """Structure-level byte accounting, run metrics, and the p-schedule resolver.
 
-Memory is measured by counting records the stack structures hold, against a
-fixed cost table, instead of profiling the heap.  That keeps runs at full
-speed and isolates the stack's footprint from unrelated allocations; the
-price is that allocator overhead is not represented.  One run per case is
-enough because the accounting does not perturb timing.
+Memory is measured by counting records the stack structures hold, at a
+fixed byte cost per record kind, instead of profiling the heap.  That keeps
+runs at full speed and isolates the stack's footprint from unrelated
+allocations; the price is that allocator overhead is not represented.  One
+run per case is enough because the accounting does not perturb timing.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ from .core import AccountingError
 DATA_BYTES = 48
 SIG_BYTES = 64
 BUFFER_SLOT_BYTES = 8
-
-COST_TABLE = {
-    "data": DATA_BYTES,
-    "sig": SIG_BYTES,
-    "slot": BUFFER_SLOT_BYTES,
-}
 
 
 class MemoryMeter:
@@ -54,39 +48,39 @@ class MemoryMeter:
         self.replay_lines = 0
         self.reconstructions = 0
 
-    def _alloc(self, kind: str, count: int) -> None:
-        self.live_bytes += COST_TABLE[kind] * count
+    def _alloc(self, nbytes: int) -> None:
+        self.live_bytes += nbytes
         if self.live_bytes > self.peak_bytes:
             self.peak_bytes = self.live_bytes
 
-    def _free(self, kind: str, count: int) -> None:
-        self.live_bytes -= COST_TABLE[kind] * count
+    def _free(self, nbytes: int) -> None:
+        self.live_bytes -= nbytes
         if self.live_bytes < 0:
-            raise AccountingError(f"live bytes went negative freeing {count} x {kind}")
+            raise AccountingError(f"live bytes went negative freeing {nbytes} bytes")
 
     def alloc_data(self, count: int = 1) -> None:
-        self._alloc("data", count)
+        self._alloc(DATA_BYTES * count)
         self.live_data += count
         if self.live_data > self.peak_data:
             self.peak_data = self.live_data
 
     def free_data(self, count: int = 1) -> None:
-        self._free("data", count)
+        self._free(DATA_BYTES * count)
         self.live_data -= count
         if self.live_data < 0:
             raise AccountingError("live data record count went negative")
 
     def alloc_sig(self, count: int = 1) -> None:
-        self._alloc("sig", count)
+        self._alloc(SIG_BYTES * count)
 
     def free_sig(self, count: int = 1) -> None:
-        self._free("sig", count)
+        self._free(SIG_BYTES * count)
 
     def alloc_slot(self, count: int = 1) -> None:
-        self._alloc("slot", count)
+        self._alloc(BUFFER_SLOT_BYTES * count)
 
     def free_slot(self, count: int = 1) -> None:
-        self._free("slot", count)
+        self._free(BUFFER_SLOT_BYTES * count)
 
 
 @dataclass
@@ -111,9 +105,7 @@ class RunMetrics:
         }
 
 
-FIXED_SCHEDULES = ("10", "50", "100", "500")
-VARIABLE_SCHEDULES = ("sqrt", "root4", "root8", "log")
-SCHEDULES = FIXED_SCHEDULES + VARIABLE_SCHEDULES
+SCHEDULES = ("10", "50", "100", "500", "sqrt", "root4", "root8", "log")
 
 
 def resolve_p(schedule: str | int, n: int) -> int:

@@ -267,10 +267,6 @@ class Runner:
         self._cursor.close()
         return RunResult(metrics=metrics, report=report)
 
-    def count_reconstructions(self) -> int:
-        """Total replay invocations so far; always 0 for a classic stack."""
-        return self.meter.reconstructions
-
     def read_push(self, count: int) -> None:
         """Read and push `count` elements without consulting the conditions.
 
@@ -383,14 +379,13 @@ class TwinStack(StackInterface):
     Every push/pop/top is mirrored; with deep=True, after each operation all
     entry copies resident in the compressed structure (buffer, explicit runs,
     signature bottoms, floor buffers) are checked against the classic stack's
-    entry at the same index.
+    entry at the same index.  Otherwise only the space cap is checked.
     """
 
-    def __init__(self, classic, compressed, deep: bool = False, cap_check: bool = True):
+    def __init__(self, classic, compressed, deep: bool = False):
         self.classic = classic
         self.compressed = compressed
         self.deep = deep
-        self.cap_check = cap_check
         self.ordinal = 0
         self.meter = compressed.meter
 
@@ -433,8 +428,7 @@ class TwinStack(StackInterface):
 
     def verify_now(self) -> None:
         if not self.deep:
-            if self.cap_check:
-                self.compressed.check_space_cap()
+            self.compressed.check_space_cap()
             return
         entries = self.classic.entries
         indices = [e.index for e in entries]

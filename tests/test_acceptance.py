@@ -42,7 +42,7 @@ def sample_sizes(rng, count, buckets):
 def twin_run(algo_cls, text, n, p, k):
     meter = MemoryMeter()
     compressed = CompressedStack(n, p, k, meter=meter)
-    twin = TwinStack(ClassicStack(), compressed, deep=False, cap_check=True)
+    twin = TwinStack(ClassicStack(), compressed, deep=False)
     runner = Runner(algo_cls(), LineSource.from_text(text), twin)
     compressed.replay = runner.replay_segment
     return runner.run(), twin

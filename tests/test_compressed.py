@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from cstack.compressed import CompressedStack
 from cstack.core import ContractError, Data, DeterminismError, EmptyStackError
-from cstack.metrics import MemoryMeter
+from cstack.generators import GenSpec, generate
+from cstack.metrics import MemoryMeter, resolve_p
+from cstack.problems import PROBLEMS
+from cstack.runner import LineSource, Runner
 
 from helpers import pairs_to_text, random_trace, run_testrun, run_twin_testrun
 from oracles import replay_testrun
@@ -33,7 +36,7 @@ class TestDirectPushes:
         cs.push(entry(3))
         assert [d.index for d in cs.first.explicit] == [3]
         sigs = cs.first.finished[1]  # finished level-3 blocks
-        assert [(s.first_index, s.last_index, s.level) for s in sigs] == [(1, 2, 3)]
+        assert [(s.first_index, s.last_index) for s in sigs] == [(1, 2)]
 
     def test_new_top_block_demotes_components(self):
         cs = CompressedStack(16, 2, k=1)
@@ -42,7 +45,7 @@ class TestDirectPushes:
         cs.push(entry(9))
         assert [d.index for d in cs.first.explicit] == [9]
         assert cs.second is not None and cs.second.has_survivors()
-        assert cs.second.top_index() == 3
+        assert cs.second.explicit[-1].index == 3
         assert cs.tail == []
         cs.check_invariants()
 
@@ -185,11 +188,15 @@ class TestReconstruction:
                 return super().pop_condition(payload, ctx, top)
 
         pairs = [(10, 0), (20, 0), (30, 0), (40, 0), (99, 4)]
-        cs = CompressedStack(16, 2, k=1, meter=MemoryMeter())
+        meter = MemoryMeter()
+        cs = CompressedStack(16, 2, k=1, meter=meter)
         runner = Runner(Impure(), LineSource.from_text(pairs_to_text(pairs)), cs,
                         drain_report=False)
         with pytest.raises(DeterminismError):
             runner.run()
+        # the failed replay released its scratch stack and the popped signature
+        cs.dispose()
+        assert meter.live_bytes == 0
 
 
 class TestSpaceCap:
@@ -207,15 +214,21 @@ class TestSpaceCap:
         assert cs.tail_within_cap()
 
     def test_audit_matches_incremental_count(self):
+        # the push-only prefix builds a tail; the count leaves tail signatures
+        # out (tail_within_cap bounds them), the walk yields them
         rng = random.Random(9)
-        pairs = random_trace(rng, 300)
+        pairs = [(i, 0) for i in range(1, 201)] + random_trace(rng, 56)
+        tail_lens = []
 
         def on_element(runner, entry):
             stack = runner.stack
             walked = sum(1 for _ in stack.iter_resident())
-            assert walked == stack.resident_data_count()
+            in_tail = sum(1 + len(sig.floor) for sig in stack.tail)
+            assert walked - in_tail == stack.resident_data_count()
+            tail_lens.append(len(stack.tail))
 
-        run_testrun(pairs, p=3, n_expect=300, drain=False, on_element=on_element)
+        run_testrun(pairs, p=4, n_expect=256, drain=False, on_element=on_element)
+        assert max(tail_lens) >= 2
 
 
 class TestOverflow:
@@ -262,4 +275,54 @@ def test_dispose_returns_all_bytes():
     cs.dispose()
     assert meter.live_bytes == 0
     cs.dispose()  # idempotent
+    assert meter.live_bytes == 0
+
+
+# Counters of the reference implementation on fixed inputs (n=2^11, seed 0,
+# n_expect=n): (reconstructions, replay_lines, peak_bytes, final_len, pops).
+# They carry no timing noise, so any change in what the stack folds, replays
+# or holds resident shows here.
+GOLDEN_N = 2 ** 11
+GOLDEN_INPUTS = {
+    "xmas": ("xmas", 0.0, "testrun"),
+    "points": ("points", 0.0, "upperhull"),
+    "pushonly": ("pushonly", 1.0, "testrun"),
+}
+GOLDEN = {
+    ("xmas", "2", "scan"): (729, 1945, 1552, 340, 1708),
+    ("xmas", "2", "drained"): (1268, 4660, 1568, 340, 2048),
+    ("xmas", "log", "scan"): (219, 3157, 3424, 340, 1708),
+    ("xmas", "log", "drained"): (309, 4473, 3504, 340, 2048),
+    ("xmas", "sqrt", "scan"): (52, 1737, 5656, 340, 1708),
+    ("xmas", "sqrt", "drained"): (79, 2330, 5656, 340, 2048),
+    ("points", "2", "scan"): (18939, 45607, 2392, 12, 2036),
+    ("points", "2", "drained"): (20047, 48366, 2392, 12, 2048),
+    ("points", "log", "scan"): (812, 5596, 2160, 12, 2036),
+    ("points", "log", "drained"): (818, 5612, 2160, 12, 2048),
+    ("points", "sqrt", "scan"): (235, 2292, 1936, 12, 2036),
+    ("points", "sqrt", "drained"): (239, 2298, 1936, 12, 2048),
+    ("pushonly", "2", "scan"): (0, 0, 3456, 2048, 0),
+    ("pushonly", "2", "drained"): (1022, 8194, 4688, 2048, 2048),
+    ("pushonly", "log", "scan"): (0, 0, 7280, 2048, 0),
+    ("pushonly", "log", "drained"): (185, 3500, 7960, 2048, 2048),
+    ("pushonly", "sqrt", "scan"): (0, 0, 11616, 2048, 0),
+    ("pushonly", "sqrt", "drained"): (44, 1936, 11616, 2048, 2048),
+}
+
+
+@pytest.mark.parametrize("name,schedule,mode", sorted(GOLDEN))
+def test_golden_counters(name, schedule, mode):
+    kind, rho, problem = GOLDEN_INPUTS[name]
+    text = generate(GenSpec(kind, GOLDEN_N, rho, 0))
+    algo = PROBLEMS[problem]()
+    meter = MemoryMeter()
+    cs = CompressedStack(GOLDEN_N, resolve_p(schedule, GOLDEN_N), algo.k, meter=meter)
+    drain = mode == "drained"
+    runner = Runner(algo, LineSource.from_text(text), cs,
+                    collect_report=drain, drain_report=drain)
+    m = runner.run().metrics
+    got = (meter.reconstructions, meter.replay_lines, meter.peak_bytes,
+           m.final_len, m.pops)
+    assert got == GOLDEN[(name, schedule, mode)]
+    cs.dispose()
     assert meter.live_bytes == 0

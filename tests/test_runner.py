@@ -214,7 +214,7 @@ def test_pushes_and_pops_counted_without_replay_inflation():
     cs = CompressedStack(16, 2, 1, meter=meter)
     runner = Runner(TestRun(), src, cs, drain_report=False)
     result = runner.run()
-    assert runner.count_reconstructions() == 1
+    assert runner.meter.reconstructions == 1
     assert result.metrics.pushes == 5
     assert result.metrics.pops == 4  # the replayed push of index 2 is not counted
 
@@ -223,4 +223,4 @@ def test_classic_runs_count_zero_reconstructions():
     src = LineSource.from_text("5,0\n7,1\n")
     runner = Runner(TestRun(), src, ClassicStack())
     runner.run()
-    assert runner.count_reconstructions() == 0
+    assert runner.meter.reconstructions == 0
