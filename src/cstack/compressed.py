@@ -418,8 +418,9 @@ class CompressedStack(StackInterface):
 
         The replay runs on a scratch stack restricted to the signature's
         block, where level i is level lv + i here; the scratch's lists then
-        move into comp below level lv.  The scratch and the signature's own
-        records are released whether or not the replay succeeds.
+        move into comp below level lv.  The scratch is released whether or
+        not the replay succeeds; on failure sig goes back where it was popped
+        from, so the stack stays whole and a retry fails the same way.
         """
         if self.replay is None:
             raise StackError("no replay delegate bound; cannot reconstruct")
@@ -438,23 +439,27 @@ class CompressedStack(StackInterface):
             if scratch.second is not None and scratch.second.has_survivors():
                 scratch.tail.append(scratch._collapse(scratch.second, 2))
             inner = scratch.first
+            if lv == self.geom.h and scratch.tail:
+                raise StackError("level-h replay produced sub-block signatures")
+            if not inner.explicit:
+                raise StackError(
+                    f"replay of block [{sig.first_index}..{sig.last_index}] left no top entry"
+                )
+        except BaseException:
+            (self.tail if lv == 1 else comp.finished[lv - 2]).append(sig)
+            raise
+        else:
             if lv < self.geom.h:
                 comp.finished[lv - 1] = scratch.tail
                 comp.finished[lv:] = inner.finished
-            elif scratch.tail:
-                raise StackError("level-h replay produced sub-block signatures")
             comp.explicit = inner.explicit
             comp.explicit_floor = inner.explicit_floor
             comp.ref_index = sig.last_index
             scratch.tail = []
             scratch.first = scratch.second = None
+            self._free_sig(sig)
         finally:
             scratch.dispose()
-            self._free_sig(sig)
-        if not comp.explicit:
-            raise StackError(
-                f"replay of block [{sig.first_index}..{sig.last_index}] left no top entry"
-            )
 
     def _peek_top(self, j: int) -> list[Data]:
         """Top j entries, top first, materializing detail as needed."""

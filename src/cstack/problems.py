@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Data
-from .runner import Runner, StackAlgorithm
+from .runner import StackAlgorithm
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +30,7 @@ class TestRun(StackAlgorithm):
 
     k = 1
 
-    def initialize(self, runner: Runner) -> TestRunContext:
+    def initialize(self) -> TestRunContext:
         return TestRunContext()
 
     def clone_context(self, ctx: TestRunContext) -> TestRunContext:
@@ -82,16 +82,11 @@ def orientation(a: Point2D, b: Point2D, c: Point2D) -> int:
 class UpperHull(StackAlgorithm):
     """Keeps the upper convex chain of x-sorted points.
 
-    The first two points are preloaded before the main loop.  A point already
-    on the chain is discarded when the incoming point sees it make a
-    counterclockwise turn; collinear points stay.  Needs no context.
+    A point already on the chain is discarded when the incoming point sees it
+    make a counterclockwise turn; collinear points stay.  Needs no context.
     """
 
     k = 2
-
-    def initialize(self, runner: Runner) -> None:
-        runner.read_push(2)
-        return None
 
     def clone_context(self, ctx: None) -> None:
         return None

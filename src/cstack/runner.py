@@ -64,13 +64,13 @@ class StackAlgorithm:
     """Base hooks. Subclasses set k and override what they need.
 
     Conditions receive `top`, a TopAccess window; positions the stack cannot
-    answer read as None.  `ctx` is None while initialize() runs.
+    answer read as None.
     """
 
     k = 1
 
-    def initialize(self, runner: "Runner") -> Any:
-        """Create the context; may preload entries via runner.read_push()."""
+    def initialize(self) -> Any:
+        """Create the context."""
         return None
 
     def clone_context(self, ctx: Any) -> Any:
@@ -205,21 +205,15 @@ class Runner:
         *,
         collect_report: bool = True,
         drain_report: bool = True,
-        check_invariants: bool = False,
     ):
         self.algo = algo
         self.source = source
         self.stack = stack
         self.collect_report = collect_report
         self.drain_report = drain_report
-        self.check_invariants = check_invariants
-        self.ctx: Any = None
         self.index = 0
         self.pushes = 0
         self.pops = 0
-        self._cursor: LineCursor | None = None
-        self._preload_end = 0
-        self._init_ctx_snapshot: Any = None
         if isinstance(stack, CompressedStack) and stack.replay is None:
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
@@ -228,13 +222,11 @@ class Runner:
 
     def run(self) -> RunResult:
         t0 = time.perf_counter()
-        self._cursor = self.source.cursor(0)
-        self.ctx = self.algo.initialize(self)
-        self._init_ctx_snapshot = self.algo.clone_context(self.ctx)
-        read = self._cursor.read
+        cursor = self.source.cursor(0)
+        ctx = self.algo.initialize()
+        read = cursor.read
         read_input = self.algo.read_input
         step = self._element_step
-        ctx = self.ctx
         stack = self.stack
         index = self.index
         while True:
@@ -250,7 +242,7 @@ class Runner:
                 raise
             except Exception as exc:
                 raise ParseError(index, line, str(exc)) from exc
-            step(payload, index, pos, stack, ctx, False)
+            step(payload, index, pos, stack, ctx)
         final_len = self.stack.len()
         report = self._report() if self.drain_report else []
         wall = time.perf_counter() - t0
@@ -264,35 +256,17 @@ class Runner:
             degraded_estimate=getattr(self.stack, "degraded", False),
             final_len=final_len,
         )
-        self._cursor.close()
+        cursor.close()
         return RunResult(metrics=metrics, report=report)
 
-    def read_push(self, count: int) -> None:
-        """Read and push `count` elements without consulting the conditions.
-
-        Only valid from initialize(); the context does not exist yet, so
-        read_input receives ctx=None and the entries snapshot a None context.
-        """
-        for _ in range(count):
-            item = self._cursor.read()
-            if item is None:
-                raise ParseError(self.index + 1, "<eof>", "input ended during preload")
-            line, pos = item
-            self.index += 1
-            payload = self.algo.read_input(line, None)
-            self.stack.push(Data(self.index, payload, None, pos))
-            self.pushes += 1
-        self._preload_end = self.index
-
-    def _element_step(self, payload, index, pos, stack, ctx, replaying) -> None:
+    def _element_step(self, payload, index, pos, stack, ctx) -> None:
         algo = self.algo
         view = TopAccess(stack, algo.k)
         while stack.len() > 0:
             if algo.pop_condition(payload, ctx, view):
                 algo.pre_pop(payload, ctx)
                 popped = stack.pop()
-                if not replaying:
-                    self.pops += 1
+                self.pops += 1
                 algo.post_pop(payload, popped, ctx)
             else:
                 algo.no_pop(payload, ctx)
@@ -301,13 +275,10 @@ class Runner:
             algo.pre_push(payload, ctx)
             entry = Data(index, payload, algo.clone_context(ctx), pos)
             stack.push(entry)
-            if not replaying:
-                self.pushes += 1
+            self.pushes += 1
             algo.post_push(entry, ctx)
         else:
             algo.no_push(payload, ctx)
-        if self.check_invariants and not replaying and isinstance(stack, CompressedStack):
-            stack.check_invariants()
 
     def _report(self) -> list[str]:
         lines: list[str] = []
@@ -325,20 +296,17 @@ class Runner:
         """Re-run the hook loop over input indices bottom.index..last_index.
 
         Seeds the scratch with the bottom entry, restores its context
-        snapshot, and resumes reading right after the bottom's line.  Entries
-        preloaded by initialize() are re-pushed raw, exactly as the original
-        run pushed them; the context switches to the post-initialize snapshot
-        once the preloaded region ends.
+        snapshot, and resumes reading right after the bottom's line.  The
+        run's push and pop counts are restored afterwards, so replays do not
+        inflate them.
         """
         algo = self.algo
         ctx = algo.clone_context(bottom.ctx_snapshot)
         scratch.push(bottom)
-        if bottom.index > self._preload_end:
-            algo.post_push(bottom, ctx)
-        elif bottom.index == self._preload_end:
-            ctx = algo.clone_context(self._init_ctx_snapshot)
+        algo.post_push(bottom, ctx)
         if bottom.index >= last_index:
             return
+        counts = self.pushes, self.pops
         cursor = self.source.cursor(bottom.stream_pos)
         try:
             idx = bottom.index
@@ -349,15 +317,10 @@ class Runner:
                 line, pos = item
                 idx += 1
                 self.meter.replay_lines += 1
-                if idx <= self._preload_end:
-                    payload = algo.read_input(line, None)
-                    scratch.push(Data(idx, payload, None, pos))
-                    if idx == self._preload_end:
-                        ctx = algo.clone_context(self._init_ctx_snapshot)
-                    continue
                 payload = algo.read_input(line, ctx)
-                self._element_step(payload, idx, pos, scratch, ctx, True)
+                self._element_step(payload, idx, pos, scratch, ctx)
         finally:
+            self.pushes, self.pops = counts
             cursor.close()
 
 

@@ -236,14 +236,13 @@ def test_criterion_10_space_cap_never_fired():
             twin_run(UpperHull, text, n, resolve_p("sqrt", n), 2)
             CAP_EVIDENCE["suite3"] += 1
     assert all(CAP_EVIDENCE.values()), CAP_EVIDENCE
-    # spot check with the full invariant set verified after every element
+    # spot check with the full invariant set verified after every push and
+    # pop, drain included
     rng = random.Random(77)
     for _ in range(5):
         n = rng.randint(64, 512)
-        pairs = random_trace(rng, n)
-        meter = MemoryMeter()
-        cs = CompressedStack(n, rng.choice([2, 5, 12]), 1, meter=meter)
-        runner = Runner(TestRun(), LineSource.from_text(pairs_to_text(pairs)), cs,
-                        check_invariants=True)
-        runner.run()
+        ok, detail = run_checked(
+            TestRun(), LineSource.from_text(pairs_to_text(random_trace(rng, n))),
+            rng.choice([2, 5, 12]), n_expect=n)
+        assert ok, detail
     print("[criterion 10] PASS - resident cap held across every checked operation")

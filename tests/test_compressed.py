@@ -194,7 +194,12 @@ class TestReconstruction:
                         drain_report=False)
         with pytest.raises(DeterminismError):
             runner.run()
-        # the failed replay released its scratch stack and the popped signature
+        # the failed replay released its scratch stack and put the signature
+        # back, so the stack stays whole and refuses again by name
+        cs.check_invariants()
+        with pytest.raises(DeterminismError):
+            cs.pop()
+        cs.check_invariants()
         cs.dispose()
         assert meter.live_bytes == 0
 

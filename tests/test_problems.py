@@ -84,10 +84,19 @@ class TestUpperHull:
         text = "\n".join(f"{x},{y}" for x, y in pts) + "\n"
         assert len(run_hull(text)) == len(pts)
 
-    def test_unsorted_input_rejected(self):
-        text = "0,0\n1,2\n0.5,0.1\n"
+    @pytest.mark.parametrize("stack_kind", ["classic", "compressed"])
+    @pytest.mark.parametrize("text", [
+        "0,0\n1,2\n0.5,0.1\n",  # a later point out of order
+        "2,0\n1,5\n3,1\n",  # the first two points out of order
+        "1,0\n1,2\n2,1\n",  # the first two points with equal x
+    ], ids=["later", "first_two", "first_two_equal_x"])
+    def test_unsorted_input_rejected(self, text, stack_kind):
         with pytest.raises(ValueError):
-            run_hull(text)
+            run_hull(text, stack_kind)
+
+    @pytest.mark.parametrize("stack_kind", ["classic", "compressed"])
+    def test_single_point(self, stack_kind):
+        assert run_hull("3,4\n", stack_kind) == ["3.0,4.0"]
 
     def test_matches_chain_oracle_both_stacks(self):
         rng = random.Random(13)

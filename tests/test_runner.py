@@ -125,34 +125,6 @@ def test_context_snapshot_taken_after_pre_push():
     assert seen == [77, 77]
 
 
-def test_read_push_preloads_without_conditions():
-    probed = []
-
-    class Preloading(TestRun):
-        def initialize(self, runner):
-            runner.read_push(2)
-            return super().initialize(runner)
-
-        def pop_condition(self, payload, ctx, top):
-            probed.append(payload.value)
-            return super().pop_condition(payload, ctx, top)
-
-    src = LineSource.from_text("5,0\n7,0\n3,0\n")
-    result = Runner(Preloading(), src, ClassicStack()).run()
-    assert result.report == ["3", "7", "5"]
-    assert probed == [3]  # conditions only ran for the third element
-
-
-def test_read_push_past_eof_errors():
-    class Preloading(TestRun):
-        def initialize(self, runner):
-            runner.read_push(2)
-            return super().initialize(runner)
-
-    with pytest.raises(ParseError):
-        Runner(Preloading(), LineSource.from_text("5,0\n"), ClassicStack()).run()
-
-
 def test_cursor_reopens_at_saved_positions():
     src = LineSource.from_text("a,0\nb,0\nc,0\n".replace("a", "1").replace("b", "2").replace("c", "3"))
     cur = src.cursor(0)
