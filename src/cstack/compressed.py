@@ -212,11 +212,8 @@ class CompressedStack(StackInterface):
 
     # Unlike the classic stack's value array, every entry copy resident here
     # is held through a pointer slot (explicit runs, signature bottoms and
-    # floors), so each one costs a slot on top of the data record.
-    def _alloc_entries(self, count: int = 1) -> None:
-        self.meter.alloc_data(count)
-        self.meter.alloc_slot(count)
-
+    # floors), so each one costs a slot on top of the data record.  push and
+    # pop make these two meter calls inline.
     def _free_entries(self, count: int = 1) -> None:
         self.meter.free_data(count)
         self.meter.free_slot(count)
@@ -230,41 +227,49 @@ class CompressedStack(StackInterface):
         return self.live + len(self.floor)
 
     def push(self, d: Data) -> None:
-        if d.index <= self._max_index:
+        index = d.index
+        if index <= self._max_index:
             raise ContractError(
-                f"push index {d.index} not above last pushed {self._max_index}"
+                f"push index {index} not above last pushed {self._max_index}"
             )
-        self._max_index = d.index
-        if d.index > self.geom.last_expected:
-            self.degraded = True
+        self._max_index = index
         g = self.geom
-        if self.first is None:
-            self.first = Component(d.index, g.h)
-        else:
-            cross = g.cross_level(self.first.ref_index, d.index)
-            if cross == 1:
-                sig = self._collapse(self.second, 2)
-                if sig is not None:
-                    self.tail.append(sig)
-                self.second = self.first
-                self.first = Component(d.index, g.h)
-            elif cross is not None:
-                sig = self._collapse(self.first, cross + 1)
-                if sig is not None:
-                    self.first.finished[cross - 2].append(sig)
-                self.first.ref_index = d.index
-            else:
-                self.first.ref_index = d.index
+        if index > g.last_expected:
+            self.degraded = True
         comp = self.first
+        if comp is None:
+            comp = self.first = Component(index, g.h)
+        else:
+            # Block sizes form a divisibility chain, so two indices in the
+            # same deepest block share their block at every level.
+            s = g.sizes[-1]
+            if (index - g.origin) // s != (comp.ref_index - g.origin) // s:
+                cross = g.cross_level(comp.ref_index, index)
+                if cross == 1:
+                    sig = self._collapse(self.second, 2)
+                    if sig is not None:
+                        self.tail.append(sig)
+                    self.second = comp
+                    comp = self.first = Component(index, g.h)
+                else:
+                    sig = self._collapse(comp, cross + 1)
+                    if sig is not None:
+                        comp.finished[cross - 2].append(sig)
+            comp.ref_index = index
+        meter = self.meter
         if not comp.explicit:
             comp.explicit_floor = self._floor_window()
-            self._alloc_entries(len(comp.explicit_floor))
+            n = len(comp.explicit_floor)
+            meter.alloc_data(n)
+            meter.alloc_slot(n)
         comp.explicit.append(d)
-        self._alloc_entries()
+        meter.alloc_data()
+        meter.alloc_slot()
         if self.k:
-            if len(self.buffer) == self.k:
-                self.buffer.pop(0)
-            self.buffer.append(d)
+            buffer = self.buffer
+            if len(buffer) == self.k:
+                del buffer[0]
+            buffer.append(d)
         self.live += 1
 
     def pop(self) -> Data:
@@ -282,9 +287,13 @@ class CompressedStack(StackInterface):
         if not comp.explicit:
             self._materialize_explicit(comp)
         d = comp.explicit.pop()
-        self._free_entries()
+        meter = self.meter
+        meter.free_data()
+        meter.free_slot()
         if not comp.explicit:
-            self._free_entries(len(comp.explicit_floor))
+            n = len(comp.explicit_floor)
+            meter.free_data(n)
+            meter.free_slot(n)
             comp.explicit_floor = ()
         self.live -= 1
         if self.buffer:
@@ -292,6 +301,9 @@ class CompressedStack(StackInterface):
         return d
 
     def top(self, j: int) -> Data | None:
+        buffer = self.buffer
+        if 0 < j <= len(buffer):
+            return buffer[-j]
         if j < 1 or j > self.k:
             raise ContractError(f"top({j}) outside declared access depth k={self.k}")
         if j > self.live:
@@ -299,8 +311,6 @@ class CompressedStack(StackInterface):
             if deficit <= len(self.floor):
                 return self.floor[-deficit]
             return None
-        if len(self.buffer) >= j:
-            return self.buffer[-j]
         vals = self._peek_top(j)
         self.buffer = list(reversed(vals))
         return self.buffer[-j]

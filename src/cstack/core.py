@@ -8,8 +8,7 @@ stack needs to rebuild dropped regions by re-reading the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class StackError(Exception):
@@ -32,8 +31,7 @@ class AccountingError(Exception):
     """Byte accounting went negative; a free was not matched by an alloc."""
 
 
-@dataclass(frozen=True, slots=True)
-class Data:
+class Data(NamedTuple):
     """One stack entry.
 
     index       1-based position of the element in the input.
@@ -43,7 +41,8 @@ class Data:
 
     The snapshot fields let a dropped region be rebuilt later by rerunning the
     hooks from this element onward; they ride along unused in the plain stack
-    so the two implementations stay interchangeable.
+    so the two implementations stay interchangeable.  A named tuple: immutable,
+    cheap to build, and equal to any tuple with the same fields.
     """
 
     index: int
@@ -114,6 +113,9 @@ class ClassicStack(StackInterface):
         return self.entries[-j]
 
     def len(self) -> int:
+        return len(self.entries)
+
+    def probe_depth(self) -> int:
         return len(self.entries)
 
     def dispose(self) -> None:

@@ -48,39 +48,40 @@ class MemoryMeter:
         self.replay_lines = 0
         self.reconstructions = 0
 
-    def _alloc(self, nbytes: int) -> None:
-        self.live_bytes += nbytes
-        if self.live_bytes > self.peak_bytes:
-            self.peak_bytes = self.live_bytes
-
-    def _free(self, nbytes: int) -> None:
-        self.live_bytes -= nbytes
-        if self.live_bytes < 0:
-            raise AccountingError(f"live bytes went negative freeing {nbytes} bytes")
-
+    # Each method does its own arithmetic: they run on every push and pop.
     def alloc_data(self, count: int = 1) -> None:
-        self._alloc(DATA_BYTES * count)
-        self.live_data += count
-        if self.live_data > self.peak_data:
-            self.peak_data = self.live_data
+        live = self.live_bytes = self.live_bytes + DATA_BYTES * count
+        if live > self.peak_bytes:
+            self.peak_bytes = live
+        live = self.live_data = self.live_data + count
+        if live > self.peak_data:
+            self.peak_data = live
 
     def free_data(self, count: int = 1) -> None:
-        self._free(DATA_BYTES * count)
+        self.live_bytes -= DATA_BYTES * count
         self.live_data -= count
-        if self.live_data < 0:
-            raise AccountingError("live data record count went negative")
+        if self.live_bytes < 0 or self.live_data < 0:
+            raise AccountingError(f"live counts went negative freeing {count} data records")
 
     def alloc_sig(self, count: int = 1) -> None:
-        self._alloc(SIG_BYTES * count)
+        live = self.live_bytes = self.live_bytes + SIG_BYTES * count
+        if live > self.peak_bytes:
+            self.peak_bytes = live
 
     def free_sig(self, count: int = 1) -> None:
-        self._free(SIG_BYTES * count)
+        self.live_bytes -= SIG_BYTES * count
+        if self.live_bytes < 0:
+            raise AccountingError(f"live bytes went negative freeing {count} signatures")
 
     def alloc_slot(self, count: int = 1) -> None:
-        self._alloc(BUFFER_SLOT_BYTES * count)
+        live = self.live_bytes = self.live_bytes + BUFFER_SLOT_BYTES * count
+        if live > self.peak_bytes:
+            self.peak_bytes = live
 
     def free_slot(self, count: int = 1) -> None:
-        self._free(BUFFER_SLOT_BYTES * count)
+        self.live_bytes -= BUFFER_SLOT_BYTES * count
+        if self.live_bytes < 0:
+            raise AccountingError(f"live bytes went negative freeing {count} slots")
 
 
 @dataclass

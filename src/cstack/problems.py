@@ -9,13 +9,13 @@ chain of points bounding the set from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Data
 from .runner import StackAlgorithm
 
 
-@dataclass(frozen=True, slots=True)
-class TestRunPayload:
+class TestRunPayload(NamedTuple):
     value: int
     pops: int
 
@@ -55,8 +55,7 @@ class TestRun(StackAlgorithm):
         return str(d.payload.value)
 
 
-@dataclass(frozen=True, slots=True)
-class Point2D:
+class Point2D(NamedTuple):
     x: float
     y: float
 

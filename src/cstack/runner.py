@@ -42,22 +42,27 @@ class TopAccess:
     top(j) returns the j-th entry from the top, or None where the stack holds
     fewer than j entries; j beyond the algorithm's declared depth is an
     error.  Probes are lazy: a condition that never looks at the stack never
-    pays for deep access.
+    pays for deep access.  A compressed stack built for the same k keeps
+    this contract itself, so there `top` is the stack's own method.
     """
 
-    __slots__ = ("_stack", "k")
+    __slots__ = ("top", "k", "_depth", "_top")
 
     def __init__(self, stack: StackInterface, k: int):
-        self._stack = stack
         self.k = k
+        if isinstance(stack, CompressedStack) and stack.k == k:
+            self.top = stack.top
+        else:
+            self._depth = stack.probe_depth
+            self._top = stack.top
+            self.top = self._checked_top
 
-    def top(self, j: int) -> Data | None:
+    def _checked_top(self, j: int) -> Data | None:
         if j > self.k:
             raise ContractError(f"top({j}) outside declared access depth k={self.k}")
-        stack = self._stack
-        if j > stack.probe_depth():
+        if j > self._depth():
             return None
-        return stack.top(j)
+        return self._top(j)
 
 
 class StackAlgorithm:
@@ -222,29 +227,30 @@ class Runner:
 
     def run(self) -> RunResult:
         t0 = time.perf_counter()
-        cursor = self.source.cursor(0)
-        ctx = self.algo.initialize()
-        read = cursor.read
-        read_input = self.algo.read_input
-        step = self._element_step
+        algo = self.algo
         stack = self.stack
-        index = self.index
-        while True:
-            item = read()
-            if item is None:
-                break
-            line, pos = item
-            index += 1
-            self.index = index
-            try:
-                payload = read_input(line, ctx)
-            except ParseError:
-                raise
-            except Exception as exc:
-                raise ParseError(index, line, str(exc)) from exc
-            step(payload, index, pos, stack, ctx)
-        final_len = self.stack.len()
-        report = self._report() if self.drain_report else []
+        cursor = self.source.cursor(0)
+        try:
+            ctx = algo.initialize()
+            read = cursor.read
+            read_input = algo.read_input
+            step = self._bind_step(stack, ctx)
+            index = self.index
+            while (item := read()) is not None:
+                line, pos = item
+                index += 1
+                self.index = index
+                try:
+                    payload = read_input(line, ctx)
+                except ParseError:
+                    raise
+                except Exception as exc:
+                    raise ParseError(index, line, str(exc)) from exc
+                step(payload, index, pos)
+            final_len = stack.len()
+            report = self._report() if self.drain_report else []
+        finally:
+            cursor.close()
         wall = time.perf_counter() - t0
         metrics = RunMetrics(
             wall_seconds=wall,
@@ -253,32 +259,49 @@ class Runner:
             reconstructions=self.meter.reconstructions,
             pushes=self.pushes,
             pops=self.pops,
-            degraded_estimate=getattr(self.stack, "degraded", False),
+            degraded_estimate=getattr(stack, "degraded", False),
             final_len=final_len,
         )
-        cursor.close()
         return RunResult(metrics=metrics, report=report)
 
-    def _element_step(self, payload, index, pos, stack, ctx) -> None:
+    def _bind_step(self, stack: StackInterface, ctx: Any):
+        """Bind the per-element hook sequence to one stack and one context.
+
+        Hooks and stack operations are looked up once per run or replay, and
+        the conditions share one top-k view."""
         algo = self.algo
+        pop_condition = algo.pop_condition
+        pre_pop = algo.pre_pop
+        post_pop = algo.post_pop
+        no_pop = algo.no_pop
+        push_condition = algo.push_condition
+        pre_push = algo.pre_push
+        post_push = algo.post_push
+        no_push = algo.no_push
+        clone_context = algo.clone_context
+        push, pop, length = stack.push, stack.pop, stack.len
         view = TopAccess(stack, algo.k)
-        while stack.len() > 0:
-            if algo.pop_condition(payload, ctx, view):
-                algo.pre_pop(payload, ctx)
-                popped = stack.pop()
-                self.pops += 1
-                algo.post_pop(payload, popped, ctx)
+
+        def step(payload: Any, index: int, pos: int) -> None:
+            while length() > 0:
+                if pop_condition(payload, ctx, view):
+                    pre_pop(payload, ctx)
+                    popped = pop()
+                    self.pops += 1
+                    post_pop(payload, popped, ctx)
+                else:
+                    no_pop(payload, ctx)
+                    break
+            if push_condition(payload, ctx, view):
+                pre_push(payload, ctx)
+                entry = Data(index, payload, clone_context(ctx), pos)
+                push(entry)
+                self.pushes += 1
+                post_push(entry, ctx)
             else:
-                algo.no_pop(payload, ctx)
-                break
-        if algo.push_condition(payload, ctx, view):
-            algo.pre_push(payload, ctx)
-            entry = Data(index, payload, algo.clone_context(ctx), pos)
-            stack.push(entry)
-            self.pushes += 1
-            algo.post_push(entry, ctx)
-        else:
-            algo.no_push(payload, ctx)
+                no_push(payload, ctx)
+
+        return step
 
     def _report(self) -> list[str]:
         lines: list[str] = []
@@ -309,16 +332,19 @@ class Runner:
         counts = self.pushes, self.pops
         cursor = self.source.cursor(bottom.stream_pos)
         try:
+            read = cursor.read
+            read_input = algo.read_input
+            meter = self.meter
+            step = self._bind_step(scratch, ctx)
             idx = bottom.index
             while idx < last_index:
-                item = cursor.read()
+                item = read()
                 if item is None:
                     raise ParseError(idx + 1, "<eof>", "input ended during replay")
                 line, pos = item
                 idx += 1
-                self.meter.replay_lines += 1
-                payload = algo.read_input(line, ctx)
-                self._element_step(payload, idx, pos, scratch, ctx)
+                meter.replay_lines += 1
+                step(read_input(line, ctx), idx, pos)
         finally:
             self.pushes, self.pops = counts
             cursor.close()

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from cstack.core import ClassicStack, ContractError, Data, EmptyStackError
 from cstack.metrics import DATA_BYTES, MemoryMeter
+from cstack import problems
 
 
 def entry(i, payload=None):
@@ -87,3 +88,16 @@ def test_meter_counts_entries():
     assert meter.live_bytes == 9 * DATA_BYTES
     s.dispose()
     assert meter.live_bytes == 0
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (entry(1), "index"),
+        (problems.TestRunPayload(5, 0), "pops"),
+        (problems.Point2D(1.0, 2.0), "x"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)

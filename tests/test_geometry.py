@@ -75,3 +75,25 @@ def test_sub_geometry_matches_parent_levels():
     # sub-level boundaries line up with the parent's deeper levels
     for idx in range(sub.origin, sub.origin + g.sizes[1]):
         assert sub.block_start(idx, 1) == g.block_start(idx, 3)
+
+
+@given(
+    st.integers(min_value=2, max_value=5000),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=200),
+)
+def test_same_deepest_block_means_no_crossing(n, p, depth, a, gap):
+    # CompressedStack.push skips cross_level on this premise, in replays too.
+    g = PartitionGeometry.for_input(n, p)
+    lv = min(depth, g.h)
+    if lv:
+        g = g.sub_geometry(lv, g.block_start(a, lv))
+    u = g.origin + (a - 1) % g.sizes[0]
+    v = u + gap
+    s = g.sizes[-1]
+    if (u - g.origin) // s == (v - g.origin) // s:
+        assert g.cross_level(u, v) is None
+    else:
+        assert g.cross_level(u, v) is not None

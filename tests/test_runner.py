@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cstack.compressed import CompressedStack
-from cstack.core import ClassicStack, Data
+from cstack.core import ClassicStack, ContractError, Data
 from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun, UpperHull
 from cstack.runner import (
@@ -196,3 +196,69 @@ def test_classic_runs_count_zero_reconstructions():
     runner = Runner(TestRun(), src, ClassicStack())
     runner.run()
     assert runner.meter.reconstructions == 0
+
+
+def _k2_stacks():
+    return [ClassicStack(), CompressedStack(16, 2, 2)]
+
+
+@pytest.mark.parametrize("stack", _k2_stacks(), ids=["classic", "compressed"])
+def test_cursor_closed_when_a_hook_raises(stack):
+    src = LineSource.from_text("2,0\n1,5\n3,1\n")
+    with pytest.raises(ValueError, match="not sorted"):
+        Runner(UpperHull(), src, stack).run()
+    assert src._handles == []
+
+
+class TestTopView:
+    class Probing(TestRun):
+        """TestRun whose push condition records its top(1) and top(2) probes."""
+
+        def __init__(self, k, probes):
+            self.k = k
+            self.probes = probes
+
+        def push_condition(self, payload, ctx, top):
+            self.probes.append((payload.value, top.top(1), top.top(2)))
+            return True
+
+    @pytest.mark.parametrize(
+        "stack",
+        [ClassicStack(), CompressedStack(16, 2, 1), CompressedStack(16, 2, 2)],
+        ids=["classic", "compressed-k1", "compressed-k2"],
+    )
+    def test_probe_beyond_declared_depth_is_refused(self, stack):
+        src = LineSource.from_text("5,0\n7,0\n")
+        with pytest.raises(ContractError):
+            Runner(self.Probing(1, []), src, stack).run()
+
+    @pytest.mark.parametrize("stack", _k2_stacks(), ids=["classic", "compressed"])
+    def test_probe_deeper_than_the_stack_reads_none(self, stack):
+        probes = []
+        src = LineSource.from_text("5,0\n7,0\n9,0\n")
+        Runner(self.Probing(2, probes), src, stack, drain_report=False).run()
+        assert [(v, t1 and t1.index, t2 and t2.index) for v, t1, t2 in probes] == [
+            (5, None, None), (7, 1, None), (9, 2, 1),
+        ]
+
+    def test_probe_below_a_replayed_range_reads_the_floor(self):
+        # Sixteen pushes fold blocks away; the final pops replay them, and
+        # each replay's second element sees only the replayed bottom on the
+        # scratch stack, so its top(2) must come from the signature's floor.
+        pairs = [(i, 0) for i in range(1, 17)] + [(17, 12)]
+        probes = []
+        meter = MemoryMeter()
+        stack = CompressedStack(17, 2, 2, meter=meter)
+        Runner(self.Probing(2, probes), LineSource.from_text(pairs_to_text(pairs)),
+               stack, drain_report=False).run()
+        assert meter.reconstructions > 0
+        forward = {}
+        replayed = 0
+        for value, t1, t2 in probes:
+            if value in forward:
+                replayed += 1
+                assert (t1, t2) == forward[value]
+            else:
+                forward[value] = (t1, t2)
+        assert replayed > 0
+        assert all(t2 is not None for v, t1, t2 in probes if v > 2)
