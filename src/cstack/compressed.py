@@ -223,9 +223,6 @@ class CompressedStack(StackInterface):
     def len(self) -> int:
         return self.live
 
-    def probe_depth(self) -> int:
-        return self.live + len(self.floor)
-
     def push(self, d: Data) -> None:
         index = d.index
         if index <= self._max_index:
@@ -283,9 +280,7 @@ class CompressedStack(StackInterface):
             raise DeterminismError(
                 f"replay tried to pop its range bottom (index {self.guard_index})"
             )
-        comp = self._active_component()
-        if not comp.explicit:
-            self._materialize_explicit(comp)
+        comp = self._top_run()
         d = comp.explicit.pop()
         meter = self.meter
         meter.free_data()
@@ -407,21 +402,24 @@ class CompressedStack(StackInterface):
 
     # -- reconstruction -------------------------------------------------------
 
-    def _active_component(self) -> Component:
-        if self.first is not None and self.first.has_survivors():
-            return self.first
-        if self.second is not None and self.second.has_survivors():
-            return self.second
-        sig = self.tail.pop()
-        comp = Component(sig.last_index, self.geom.h)
-        self.second = comp
-        self._expand_into(comp, sig, 1)
-        return comp
+    def _top_run(self) -> Component:
+        """The component holding the top entry, with its explicit run rebuilt.
 
-    def _materialize_explicit(self, comp: Component) -> None:
-        lv = comp.deepest_nonempty_level()
-        sig = comp.finished[lv - 2].pop()
-        self._expand_into(comp, sig, lv)
+        An empty run means the top sits in the newest signature of the
+        deepest non-empty level, which is replayed into place.
+        """
+        if self.first is not None and self.first.has_survivors():
+            comp = self.first
+        elif self.second is not None and self.second.has_survivors():
+            comp = self.second
+        else:
+            sig = self.tail.pop()
+            comp = self.second = Component(sig.last_index, self.geom.h)
+            self._expand_into(comp, sig, 1)
+        if not comp.explicit:
+            lv = comp.deepest_nonempty_level()
+            self._expand_into(comp, comp.finished[lv - 2].pop(), lv)
+        return comp
 
     def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
         """Rebuild sig, the signature of a level-lv block, in detail inside comp.
@@ -473,9 +471,7 @@ class CompressedStack(StackInterface):
 
     def _peek_top(self, j: int) -> list[Data]:
         """Top j entries, top first, materializing detail as needed."""
-        comp = self._active_component()
-        if not comp.explicit:
-            self._materialize_explicit(comp)
+        comp = self._top_run()
         out: list[Data] = []
         for d in reversed(comp.explicit):
             out.append(d)

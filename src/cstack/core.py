@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
+# AccountingError lives beside the meter that raises it; importing it here
+# keeps it reachable as cstack.core.AccountingError.
+from .metrics import AccountingError, MemoryMeter
+
 
 class StackError(Exception):
     """Base class for stack contract violations."""
@@ -25,10 +29,6 @@ class ContractError(StackError):
 
 class DeterminismError(StackError):
     """A replayed hook sequence diverged from the recorded run."""
-
-
-class AccountingError(Exception):
-    """Byte accounting went negative; a free was not matched by an alloc."""
 
 
 class Data(NamedTuple):
@@ -64,15 +64,15 @@ class StackInterface:
         raise NotImplementedError
 
     def top(self, j: int) -> Data | None:
-        """j-th entry from the top (top(1) is the top) without modification."""
+        """j-th entry from the top (top(1) is the top) without modification.
+
+        None where the stack holds fewer than j entries; ContractError for
+        j < 1.
+        """
         raise NotImplementedError
 
     def len(self) -> int:
         raise NotImplementedError
-
-    def probe_depth(self) -> int:
-        """How deep top() can answer. Equals len() except during replay."""
-        return self.len()
 
     def dispose(self) -> None:
         """Release accounted storage. Idempotent."""
@@ -83,9 +83,9 @@ class ClassicStack(StackInterface):
 
     __slots__ = ("entries", "meter", "_disposed")
 
-    def __init__(self, meter=None):
+    def __init__(self, meter: MemoryMeter | None = None):
         self.entries: list[Data] = []
-        self.meter = meter
+        self.meter = meter if meter is not None else MemoryMeter()
         self._disposed = False
 
     def push(self, d: Data) -> None:
@@ -94,34 +94,27 @@ class ClassicStack(StackInterface):
                 f"push index {d.index} not above current top {self.entries[-1].index}"
             )
         self.entries.append(d)
-        if self.meter is not None:
-            self.meter.alloc_data()
+        self.meter.alloc_data()
 
     def pop(self) -> Data:
         if not self.entries:
             raise EmptyStackError("pop on empty stack")
         d = self.entries.pop()
-        if self.meter is not None:
-            self.meter.free_data()
+        self.meter.free_data()
         return d
 
-    def top(self, j: int) -> Data:
+    def top(self, j: int) -> Data | None:
         if j < 1:
             raise ContractError(f"top depth must be positive, got {j}")
-        if j > len(self.entries):
-            raise ContractError(f"top({j}) on stack of {len(self.entries)} entries")
-        return self.entries[-j]
+        entries = self.entries
+        return entries[-j] if j <= len(entries) else None
 
     def len(self) -> int:
-        return len(self.entries)
-
-    def probe_depth(self) -> int:
         return len(self.entries)
 
     def dispose(self) -> None:
         if self._disposed:
             return
         self._disposed = True
-        if self.meter is not None:
-            self.meter.free_data(len(self.entries))
+        self.meter.free_data(len(self.entries))
         self.entries.clear()

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import AccountingError
-
 # Idealized per-record costs in bytes, applied uniformly to both stack kinds.
 # A data record is an index, a stream position, a context reference and a
 # payload slot; a signature additionally owns its bottom/floor data records,
@@ -21,6 +19,10 @@ from .core import AccountingError
 DATA_BYTES = 48
 SIG_BYTES = 64
 BUFFER_SLOT_BYTES = 8
+
+
+class AccountingError(Exception):
+    """Byte accounting went negative; a free was not matched by an alloc."""
 
 
 class MemoryMeter:

@@ -6,12 +6,14 @@ pre/post/no actions around each, and a formatter for the final report.  The
 runner executes the loop, feeds the hooks read-only views of the top-k
 entries, and drains the stack into the report when the input ends.
 
-The same loop doubles as the replay engine: when a compressed stack needs a
-folded block back, the runner re-runs the hooks over that block's input range
-on an independent cursor, against a scratch stack, with a private copy of the
-context.  Conditions must therefore be pure functions of (payload, context,
-top-k view), and the other hooks may mutate the context but nothing else the
-replay can observe.
+The run and every replay share one loop, `Runner._scan`: when a compressed
+stack needs a folded block back, the runner re-runs the hooks over that
+block's input range on an independent cursor, against a scratch stack, with a
+private copy of the context.  A line that fails to parse is a ParseError
+naming its line number, during the run or a replay alike.  Conditions must
+be pure functions of (payload, context, top-k view), and the other hooks may
+mutate the context but nothing else the replay can observe.  On every stack,
+top(j) reads None beyond the stack's depth.
 """
 
 from __future__ import annotations
@@ -42,26 +44,25 @@ class TopAccess:
     top(j) returns the j-th entry from the top, or None where the stack holds
     fewer than j entries; j beyond the algorithm's declared depth is an
     error.  Probes are lazy: a condition that never looks at the stack never
-    pays for deep access.  A compressed stack built for the same k keeps
-    this contract itself, so there `top` is the stack's own method.
+    pays for deep access.  Every stack's own top reads None beyond its
+    depth, so the view only adds the k check; a compressed stack built for
+    the same k makes that check itself, so there `top` is the stack's own
+    method.
     """
 
-    __slots__ = ("top", "k", "_depth", "_top")
+    __slots__ = ("top", "k", "_top")
 
     def __init__(self, stack: StackInterface, k: int):
         self.k = k
         if isinstance(stack, CompressedStack) and stack.k == k:
             self.top = stack.top
         else:
-            self._depth = stack.probe_depth
             self._top = stack.top
             self.top = self._checked_top
 
     def _checked_top(self, j: int) -> Data | None:
         if j > self.k:
             raise ContractError(f"top({j}) outside declared access depth k={self.k}")
-        if j > self._depth():
-            return None
         return self._top(j)
 
 
@@ -217,8 +218,6 @@ class Runner:
         self.collect_report = collect_report
         self.drain_report = drain_report
         self.index = 0
-        self.pushes = 0
-        self.pops = 0
         if isinstance(stack, CompressedStack) and stack.replay is None:
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
@@ -227,28 +226,15 @@ class Runner:
 
     def run(self) -> RunResult:
         t0 = time.perf_counter()
-        algo = self.algo
         stack = self.stack
         cursor = self.source.cursor(0)
         try:
-            ctx = algo.initialize()
-            read = cursor.read
-            read_input = algo.read_input
-            step = self._bind_step(stack, ctx)
-            index = self.index
-            while (item := read()) is not None:
-                line, pos = item
-                index += 1
-                self.index = index
-                try:
-                    payload = read_input(line, ctx)
-                except ParseError:
-                    raise
-                except Exception as exc:
-                    raise ParseError(index, line, str(exc)) from exc
-                step(payload, index, pos)
+            pushes, pops = self._scan(stack, self.algo.initialize(), cursor, self.index, None)
             final_len = stack.len()
-            report = self._report() if self.drain_report else []
+            report = []
+            if self.drain_report:
+                report = self._report()
+                pops += final_len
         finally:
             cursor.close()
         wall = time.perf_counter() - t0
@@ -257,19 +243,32 @@ class Runner:
             peak_bytes=self.meter.peak_bytes,
             live_bytes=self.meter.live_bytes,
             reconstructions=self.meter.reconstructions,
-            pushes=self.pushes,
-            pops=self.pops,
+            pushes=pushes,
+            pops=pops,
             degraded_estimate=getattr(stack, "degraded", False),
             final_len=final_len,
         )
         return RunResult(metrics=metrics, report=report)
 
-    def _bind_step(self, stack: StackInterface, ctx: Any):
-        """Bind the per-element hook sequence to one stack and one context.
+    def _scan(
+        self,
+        stack: StackInterface,
+        ctx: Any,
+        cursor: LineCursor,
+        index: int,
+        last_index: int | None,
+    ) -> tuple[int, int]:
+        """The hook loop: read, parse, pop while asked, push if asked.
 
-        Hooks and stack operations are looked up once per run or replay, and
-        the conditions share one top-k view."""
+        Elements are numbered from index + 1.  The run passes last_index
+        None and stops at the end of the input; a replay stops after
+        last_index and raises ParseError if the input ends first.  Hooks and
+        stack operations are looked up once per call, and the conditions
+        share one top-k view.  Returns the (pushes, pops) this call made.
+        """
         algo = self.algo
+        read = cursor.read
+        read_input = algo.read_input
         pop_condition = algo.pop_condition
         pre_pop = algo.pre_pop
         post_pop = algo.post_pop
@@ -281,13 +280,27 @@ class Runner:
         clone_context = algo.clone_context
         push, pop, length = stack.push, stack.pop, stack.len
         view = TopAccess(stack, algo.k)
-
-        def step(payload: Any, index: int, pos: int) -> None:
+        pushes = pops = 0
+        while index != last_index:
+            item = read()
+            if item is None:
+                if last_index is None:
+                    break
+                raise ParseError(index + 1, "<eof>", "input ended during replay")
+            line, pos = item
+            index += 1
+            self.index = index
+            try:
+                payload = read_input(line, ctx)
+            except ParseError:
+                raise
+            except Exception as exc:
+                raise ParseError(index, line, str(exc)) from exc
             while length() > 0:
                 if pop_condition(payload, ctx, view):
                     pre_pop(payload, ctx)
                     popped = pop()
-                    self.pops += 1
+                    pops += 1
                     post_pop(payload, popped, ctx)
                 else:
                     no_pop(payload, ctx)
@@ -296,19 +309,17 @@ class Runner:
                 pre_push(payload, ctx)
                 entry = Data(index, payload, clone_context(ctx), pos)
                 push(entry)
-                self.pushes += 1
+                pushes += 1
                 post_push(entry, ctx)
             else:
                 no_push(payload, ctx)
-
-        return step
+        return pushes, pops
 
     def _report(self) -> list[str]:
         lines: list[str] = []
         stack = self.stack
         while stack.len() > 0:
             d = stack.pop()
-            self.pops += 1
             if self.collect_report:
                 lines.append(self.algo.report_line(d))
         return lines
@@ -320,8 +331,8 @@ class Runner:
 
         Seeds the scratch with the bottom entry, restores its context
         snapshot, and resumes reading right after the bottom's line.  The
-        run's push and pop counts are restored afterwards, so replays do not
-        inflate them.
+        loop's push and pop counts are dropped, so replays do not inflate
+        the run's; `index` is restored for hooks that read it.
         """
         algo = self.algo
         ctx = algo.clone_context(bottom.ctx_snapshot)
@@ -329,25 +340,14 @@ class Runner:
         algo.post_push(bottom, ctx)
         if bottom.index >= last_index:
             return
-        counts = self.pushes, self.pops
+        index = self.index
         cursor = self.source.cursor(bottom.stream_pos)
         try:
-            read = cursor.read
-            read_input = algo.read_input
-            meter = self.meter
-            step = self._bind_step(scratch, ctx)
-            idx = bottom.index
-            while idx < last_index:
-                item = read()
-                if item is None:
-                    raise ParseError(idx + 1, "<eof>", "input ended during replay")
-                line, pos = item
-                idx += 1
-                meter.replay_lines += 1
-                step(read_input(line, ctx), idx, pos)
+            self._scan(scratch, ctx, cursor, bottom.index, last_index)
         finally:
-            self.pushes, self.pops = counts
+            self.index = index
             cursor.close()
+        self.meter.replay_lines += last_index - bottom.index
 
 
 # -- twin execution / checker ------------------------------------------------
@@ -398,7 +398,7 @@ class TwinStack(StackInterface):
         return b
 
     def top(self, j: int) -> Data | None:
-        a = self.classic.top(j) if j <= self.classic.len() else None
+        a = self.classic.top(j)
         b = self.compressed.top(j)
         if a != b:
             raise DivergenceError(self.ordinal, f"top({j}) returned {b!r}, classic has {a!r}")

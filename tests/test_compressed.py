@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstack.compressed import CompressedStack
-from cstack.core import ContractError, Data, DeterminismError, EmptyStackError
+from cstack.core import (
+    ClassicStack,
+    ContractError,
+    Data,
+    DeterminismError,
+    EmptyStackError,
+    StackError,
+)
 from cstack.generators import GenSpec, generate
 from cstack.metrics import MemoryMeter, resolve_p
-from cstack.problems import PROBLEMS
+from cstack.problems import PROBLEMS, TestRun
 from cstack.runner import LineSource, Runner
 
 from helpers import pairs_to_text, random_trace, run_testrun, run_twin_testrun
@@ -100,6 +107,24 @@ class TestTopAndBuffer:
         assert meter.reconstructions == 1
         assert cs.len() == 2
         assert cs.top(1) == got  # served from the buffer now
+
+
+@pytest.mark.xfail(strict=True, raises=StackError,
+                   reason="floors are captured from a buffer that pops drain")
+def test_k2_probe_after_pops_reads_a_full_floor():
+    class ProbingTestRun(TestRun):
+        k = 2
+
+        def push_condition(self, payload, ctx, top):
+            top.top(2)
+            return True
+
+    rng = random.Random(0)
+    text = pairs_to_text((i, rng.choice([0, 0, 0, 1, 2, 3])) for i in range(1, 601))
+    classic = Runner(ProbingTestRun(), LineSource.from_text(text), ClassicStack()).run()
+    compressed = Runner(ProbingTestRun(), LineSource.from_text(text),
+                        CompressedStack(600, 2, 2)).run()
+    assert compressed.report == classic.report
 
 
 class TestOracleEquivalence:

@@ -51,12 +51,13 @@ def test_top_depths():
         s.push(entry(i, v))
     assert s.top(1).payload == 9
     assert s.top(3).payload == 5
+    assert s.top(4) is None
     with pytest.raises(ContractError):
-        s.top(4)
+        s.top(0)
     one = ClassicStack()
     one.push(entry(1, 5))
-    with pytest.raises(ContractError):
-        one.top(2)
+    assert one.top(2) is None
+    assert ClassicStack().top(1) is None
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=60))
@@ -88,6 +89,21 @@ def test_meter_counts_entries():
     assert meter.live_bytes == 9 * DATA_BYTES
     s.dispose()
     assert meter.live_bytes == 0
+
+
+def test_meter_defaults_to_a_fresh_one():
+    s = ClassicStack()
+    s.push(entry(1))
+    assert s.meter.live_bytes == DATA_BYTES
+    s.dispose()
+    assert s.meter.live_bytes == 0
+
+
+def test_accounting_error_importable_from_every_layer():
+    import cstack
+    from cstack import core, metrics
+
+    assert cstack.AccountingError is core.AccountingError is metrics.AccountingError
 
 
 @pytest.mark.parametrize(

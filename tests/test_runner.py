@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun, UpperHull
 from cstack.runner import (
     DivergenceError,
+    LineCursor,
     LineSource,
     ParseError,
     Runner,
@@ -53,6 +55,26 @@ def test_malformed_line_reports_position():
     with pytest.raises(ParseError) as exc:
         Runner(TestRun(), src, ClassicStack()).run()
     assert exc.value.line_no == 2
+
+
+def test_malformed_line_during_replay_reports_position():
+    # The forward scan reads the clean input; every cursor a replay opens
+    # (pos > 0) reads a copy whose line 5 no longer parses.
+    pairs = [(i, 0) for i in range(1, 17)] + [(17, 12)]
+    text = pairs_to_text(pairs)
+    corrupted = text.replace("\n5,0\n", "\nx,0\n").encode()
+
+    class ChangedOnReplay(LineSource):
+        def cursor(self, pos=0):
+            if not pos:
+                return super().cursor(pos)
+            handle = io.BytesIO(corrupted)
+            handle.seek(pos)
+            return LineCursor(handle)
+
+    with pytest.raises(ParseError) as exc:
+        Runner(TestRun(), ChangedOnReplay.from_text(text), CompressedStack(17, 2, 1)).run()
+    assert exc.value.line_no == 5
 
 
 def test_comment_and_blank_lines_skipped():
