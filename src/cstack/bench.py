@@ -99,6 +99,8 @@ def metrics_footer(m: RunMetrics) -> list[str]:
         f"# time_s={m.wall_seconds:.6f}",
         f"# peak_bytes={m.peak_bytes}",
         f"# reconstructions={m.reconstructions}",
+        f"# replay_lines={m.replay_lines}",
+        f"# peak_entries={m.peak_entries}",
         f"# pushes={m.pushes} pops={m.pops}",
         f"# final_stack_len={m.final_len}",
         f"# degraded_estimate={str(m.degraded_estimate).lower()}",

@@ -5,18 +5,24 @@ so on for h levels; a level-1 block holds roughly n/p positions and the block
 size shrinks by a factor p per level.  Only the two most recent level-1 blocks
 keep any detail (`first`, the push target, and `second`, its predecessor);
 older blocks survive as one signature each in `tail`.  Inside a component,
-finished sub-blocks are likewise collapsed to signatures, so at most one
-explicit run of entries exists per component plus O(p) signatures per level.
+finished sub-blocks are likewise collapsed to signatures, with the same
+hysteresis at the deepest level: the run of the deepest block being pushed
+stays explicit, and so does the run of the deepest block before it (the
+previous run), which is folded only when a third deepest block starts.  So at
+most two explicit runs exist per component plus O(p) signatures per level,
+and a pop just past a deepest boundary finds detail instead of replaying.
 
-A signature records the index range of its surviving entries, the full bottom
-entry (payload plus restart snapshot), and a small floor buffer: copies of the
-k entries that sat directly below the bottom when it was pushed.  When a pop
-or a deep top() probe needs entries that were folded away, the signature is
-expanded again by replaying the algorithm's own hooks over the signature's
-input range, seeded from the bottom's snapshot; the floor buffer answers any
-top-k probes that reach below the replayed range.  Replays may nest: the
-replay runs on another, smaller instance of this same structure, so resident
-memory stays bounded even while rebuilding a large block.
+A signature records the index range and number of its surviving entries, the
+full bottom entry (payload plus restart snapshot), and a small floor buffer:
+copies of the k-1 entries that sat directly below the bottom when it was
+pushed.  When a pop or a deep top() probe needs entries that were folded
+away, the signature is expanded again by replaying the algorithm's own hooks
+over the signature's input range, seeded from the bottom's snapshot; the
+floor answers any top-k probe that reaches below the replayed range, which
+always holds at least the bottom itself.  A signature whose only survivor is
+its bottom is restored without a replay.  Replays may nest: the replay runs
+on another, smaller instance of this same structure, so resident memory stays
+bounded even while rebuilding a large block.
 """
 
 from __future__ import annotations
@@ -109,9 +115,11 @@ class PartitionGeometry:
 
 @dataclass(frozen=True, slots=True)
 class BlockSignature:
-    """O(1) summary of a folded block: surviving range, bottom entry, floor.
+    """O(1) summary of a folded block: surviving range and count, bottom, floor.
 
-    `floor` holds copies of up to k entries directly below `bottom`; they are
+    `count` is the number of entries of the block still live when it was
+    folded; a replay that rebuilds a different number has diverged.  `floor`
+    holds copies of up to k-1 entries directly below `bottom`; they are
     readable during a replay of this block but never poppable.  The block's
     level is where the signature sits: level 1 in a stack's `tail`, level lv
     in a component's finished[lv-2].
@@ -119,6 +127,7 @@ class BlockSignature:
 
     first_index: int
     last_index: int
+    count: int
     bottom: Data
     floor: tuple[Data, ...]
 
@@ -127,21 +136,35 @@ class Component:
     """Detailed representation of one level-1 block (or sub-block in replays).
 
     Stack order, bottom to top: finished[2] signatures, finished[3], ...,
-    finished[h], then the explicit entries of the deepest active block.
+    finished[h], then the previous run, then the explicit run.
     finished[lv] (stored at finished lists index lv-2) are the signatures of
     finished level-lv blocks inside the currently active level-(lv-1) block.
+    The explicit run holds the survivors of the deepest block last pushed to;
+    the previous run holds those of an earlier deepest block of the same
+    level-(h-1) block, kept explicit until the next deepest boundary folds
+    it into finished[h].  Each run carries its own floor.  With h = 1 the
+    deepest blocks are level-1 blocks, whose pair is the stack's `first` and
+    `second`, so `previous` stays empty.
     """
 
-    __slots__ = ("ref_index", "finished", "explicit", "explicit_floor")
+    __slots__ = (
+        "ref_index", "finished", "previous", "previous_floor", "explicit", "explicit_floor"
+    )
 
     def __init__(self, ref_index: int, h: int):
         self.ref_index = ref_index
         self.finished: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 1))]
+        self.previous: list[Data] = []
+        self.previous_floor: tuple[Data, ...] = ()
         self.explicit: list[Data] = []
         self.explicit_floor: tuple[Data, ...] = ()
 
     def has_survivors(self) -> bool:
-        return bool(self.explicit) or any(self.finished)
+        return bool(self.explicit) or bool(self.previous) or any(self.finished)
+
+    def runs(self) -> tuple[tuple[list[Data], tuple[Data, ...]], ...]:
+        """(entries, floor) of the previous and the explicit run, bottom to top."""
+        return (self.previous, self.previous_floor), (self.explicit, self.explicit_floor)
 
     def deepest_nonempty_level(self) -> int | None:
         for i in range(len(self.finished) - 1, -1, -1):
@@ -234,32 +257,19 @@ class CompressedStack(StackInterface):
         if index > g.last_expected:
             self.degraded = True
         comp = self.first
-        if comp is None:
-            comp = self.first = Component(index, g.h)
+        # Block sizes form a divisibility chain, so two indices in the same
+        # deepest block share their block at every level.
+        s = g.sizes[-1]
+        if (
+            comp is None
+            or not comp.explicit
+            or (index - g.origin) // s != (comp.ref_index - g.origin) // s
+        ):
+            comp = self._start_run(index)
         else:
-            # Block sizes form a divisibility chain, so two indices in the
-            # same deepest block share their block at every level.
-            s = g.sizes[-1]
-            if (index - g.origin) // s != (comp.ref_index - g.origin) // s:
-                cross = g.cross_level(comp.ref_index, index)
-                if cross == 1:
-                    sig = self._collapse(self.second, 2)
-                    if sig is not None:
-                        self.tail.append(sig)
-                    self.second = comp
-                    comp = self.first = Component(index, g.h)
-                else:
-                    sig = self._collapse(comp, cross + 1)
-                    if sig is not None:
-                        comp.finished[cross - 2].append(sig)
             comp.ref_index = index
-        meter = self.meter
-        if not comp.explicit:
-            comp.explicit_floor = self._floor_window()
-            n = len(comp.explicit_floor)
-            meter.alloc_data(n)
-            meter.alloc_slot(n)
         comp.explicit.append(d)
+        meter = self.meter
         meter.alloc_data()
         meter.alloc_slot()
         if self.k:
@@ -271,25 +281,24 @@ class CompressedStack(StackInterface):
 
     def pop(self) -> Data:
         if self.live == 0:
-            if self.floor:
-                raise DeterminismError(
-                    "replay tried to pop below its reconstructed range"
-                )
             raise EmptyStackError("pop on empty stack")
         if self.guard_index is not None and self.live == 1:
             raise DeterminismError(
                 f"replay tried to pop its range bottom (index {self.guard_index})"
             )
-        comp = self._top_run()
+        comp = self.first
+        if comp is None or not comp.explicit:
+            comp = self._top_run()
         d = comp.explicit.pop()
         meter = self.meter
         meter.free_data()
         meter.free_slot()
         if not comp.explicit:
             n = len(comp.explicit_floor)
-            meter.free_data(n)
-            meter.free_slot(n)
-            comp.explicit_floor = ()
+            if n:
+                meter.free_data(n)
+                meter.free_slot(n)
+                comp.explicit_floor = ()
         self.live -= 1
         if self.buffer:
             self.buffer.pop()
@@ -317,7 +326,9 @@ class CompressedStack(StackInterface):
         for comp in (self.first, self.second):
             if comp is None:
                 continue
-            self._free_entries(len(comp.explicit) + len(comp.explicit_floor))
+            self._free_entries(sum(len(run) + len(floor) for run, floor in comp.runs()))
+            comp.previous = []
+            comp.previous_floor = ()
             comp.explicit = []
             comp.explicit_floor = ()
             for lst in comp.finished:
@@ -335,8 +346,60 @@ class CompressedStack(StackInterface):
 
     # -- folding ------------------------------------------------------------
 
+    def _start_run(self, index: int) -> Component:
+        """Fold what a push at index finishes; return the component whose
+        explicit run, now empty and with its floor captured, takes the push.
+
+        Crossing into a new level-1 block demotes `first` to `second` and
+        folds the old `second` into the tail.  Crossing a deepest boundary
+        only moves the explicit run to the previous run, folding the one it
+        displaces.  Crossing at any level in between folds every finished
+        block and both runs below that level into one signature.
+        """
+        g = self.geom
+        comp = self.first
+        if comp is None:
+            comp = self.first = Component(index, g.h)
+        else:
+            depth = min(self.k - 1, self.live)
+            if len(self.buffer) < depth:
+                # The new run's floor is copied from the buffer, which pops
+                # may have drained.  Refilling it can replay into comp, so
+                # it comes before any fold.
+                self.buffer = list(reversed(self._peek_top(depth)))
+            cross = g.cross_level(comp.ref_index, index)
+            if cross == 1:
+                sig = self._collapse(self.second, 2)
+                if sig is not None:
+                    self.tail.append(sig)
+                self.second = comp
+                comp = self.first = Component(index, g.h)
+            elif cross == g.h:
+                if comp.explicit:
+                    if comp.previous:
+                        comp.finished[-1].append(
+                            self._fold_run(comp.previous, comp.previous_floor)
+                        )
+                    comp.previous = comp.explicit
+                    comp.previous_floor = comp.explicit_floor
+                    comp.explicit = []
+                    comp.explicit_floor = ()
+            elif cross is not None:
+                sig = self._collapse(comp, cross + 1)
+                if sig is not None:
+                    comp.finished[cross - 2].append(sig)
+            comp.ref_index = index
+        # A refill that rebuilt comp's explicit run left the top entry there,
+        # in a deepest block before index's, so the crossing moved it away.
+        assert not comp.explicit
+        floor = comp.explicit_floor = self._floor_window()
+        if floor:
+            self.meter.alloc_data(len(floor))
+            self.meter.alloc_slot(len(floor))
+        return comp
+
     def _collapse(self, comp: Component | None, from_level: int) -> BlockSignature | None:
-        """Fold finished[from_level..h] plus explicit into one signature.
+        """Fold finished[from_level..h] plus both runs into one signature.
 
         The signature summarizes the finished level-(from_level - 1) block.
         Returns None when there is nothing to fold.  Frees every record the
@@ -346,67 +409,71 @@ class CompressedStack(StackInterface):
         if comp is None:
             return None
         lists = comp.finished[from_level - 2 :]
-        bottom_sig: BlockSignature | None = None
-        for lst in lists:
-            if lst:
-                bottom_sig = lst[0]
-                break
-        if bottom_sig is None and not comp.explicit:
+        sigs = [sig for lst in lists for sig in lst]
+        runs = [(run, floor) for run, floor in comp.runs() if run]
+        if not sigs and not runs:
             return None
-        if comp.explicit:
-            last_index = comp.explicit[-1].index
+        dropped = sum(len(run) + len(floor) for run, floor in runs)
+        if sigs:
+            first_index = sigs[0].first_index
+            bottom = sigs[0].bottom
+            floor = sigs[0].floor
+            self.meter.free_sig()
+            for sig in sigs[1:]:
+                self._free_sig(sig)
         else:
-            for lst in reversed(lists):
-                if lst:
-                    last_index = lst[-1].last_index
-                    break
-        if bottom_sig is not None:
-            bottom = bottom_sig.bottom
-            floor = bottom_sig.floor
-            first_index = bottom_sig.first_index
-            dropped_explicit = len(comp.explicit)
-            dropped_floor = len(comp.explicit_floor)
-        else:
-            bottom = comp.explicit[0]
-            floor = comp.explicit_floor
+            run, floor = runs[0]
+            bottom = run[0]
             first_index = bottom.index
-            dropped_explicit = len(comp.explicit) - 1
-            dropped_floor = 0
+            dropped -= 1 + len(floor)
+        last_index = runs[-1][0][-1].index if runs else sigs[-1].last_index
+        count = sum(sig.count for sig in sigs) + sum(len(run) for run, _ in runs)
         for lst in lists:
-            for sig in lst:
-                if sig is bottom_sig:
-                    self.meter.free_sig()
-                else:
-                    self._free_sig(sig)
             lst.clear()
-        if dropped_explicit or dropped_floor:
-            self._free_entries(dropped_explicit + dropped_floor)
+        if dropped:
+            self._free_entries(dropped)
+        comp.previous = []
+        comp.previous_floor = ()
         comp.explicit = []
         comp.explicit_floor = ()
         self.meter.alloc_sig()
-        return BlockSignature(first_index, last_index, bottom, floor)
+        return BlockSignature(first_index, last_index, count, bottom, floor)
+
+    def _fold_run(self, run: list[Data], floor: tuple[Data, ...]) -> BlockSignature:
+        """Signature of one explicit run; its bottom and floor move into it."""
+        if len(run) > 1:
+            self._free_entries(len(run) - 1)
+        self.meter.alloc_sig()
+        return BlockSignature(run[0].index, run[-1].index, len(run), run[0], floor)
 
     def _free_sig(self, sig: BlockSignature) -> None:
         self.meter.free_sig()
         self._free_entries(1 + len(sig.floor))
 
     def _floor_window(self) -> tuple[Data, ...]:
-        """Up to k entries directly below the next push, bottom to top."""
-        if self.k == 0:
+        """Up to k-1 entries directly below the next push, bottom to top.
+
+        A floor is read only below at least one entry of its own run, so
+        k-1 entries answer every top-k probe.
+        """
+        depth = self.k - 1
+        if depth <= 0:
             return ()
-        win = list(self.buffer)
-        if len(win) < self.k and len(win) == self.live and self.floor:
-            deficit = self.k - len(win)
-            win = list(self.floor[-deficit:]) + win
-        return tuple(win[-self.k :])
+        win = self.buffer[-depth:]
+        if len(win) < depth:
+            # _start_run refilled the buffer, so it holds every live entry;
+            # on a replay's scratch stack the entries below are its floor.
+            win = list(self.floor[len(win) - depth :]) + win
+        return tuple(win)
 
     # -- reconstruction -------------------------------------------------------
 
     def _top_run(self) -> Component:
         """The component holding the top entry, with its explicit run rebuilt.
 
-        An empty run means the top sits in the newest signature of the
-        deepest non-empty level, which is replayed into place.
+        An empty explicit run means the top sits in the previous run, which
+        is promoted without a replay, or else in the newest signature of the
+        deepest non-empty level, which is expanded into place.
         """
         if self.first is not None and self.first.has_survivors():
             comp = self.first
@@ -417,49 +484,83 @@ class CompressedStack(StackInterface):
             comp = self.second = Component(sig.last_index, self.geom.h)
             self._expand_into(comp, sig, 1)
         if not comp.explicit:
-            lv = comp.deepest_nonempty_level()
-            self._expand_into(comp, comp.finished[lv - 2].pop(), lv)
+            if comp.previous:
+                comp.explicit = comp.previous
+                comp.explicit_floor = comp.previous_floor
+                comp.previous = []
+                comp.previous_floor = ()
+                comp.ref_index = comp.explicit[-1].index
+            else:
+                lv = comp.deepest_nonempty_level()
+                self._expand_into(comp, comp.finished[lv - 2].pop(), lv)
         return comp
 
     def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
         """Rebuild sig, the signature of a level-lv block, in detail inside comp.
 
-        The replay runs on a scratch stack restricted to the signature's
-        block, where level i is level lv + i here; the scratch's lists then
-        move into comp below level lv.  The scratch is released whether or
-        not the replay succeeds; on failure sig goes back where it was popped
-        from, so the stack stays whole and a retry fails the same way.
+        A block whose only survivor is its bottom needs no replay: the
+        bottom and its floor become comp's explicit run.  Otherwise the
+        replay runs on a scratch stack restricted to the signature's block,
+        where level i is level lv + i here, and must rebuild exactly the
+        signature's survivors, ending on its top entry; the scratch's lists
+        and runs then move into comp below level lv.  The scratch is released
+        whether or not the replay succeeds; on failure sig goes back where it
+        was popped from, so the stack stays whole and a retry fails the same
+        way.  Both paths count as one reconstruction.
         """
-        if self.replay is None:
-            raise StackError("no replay delegate bound; cannot reconstruct")
-        assert not comp.explicit and all(not l for l in comp.finished[lv - 1 :])
+        assert not comp.explicit and not comp.previous
+        assert all(not l for l in comp.finished[lv - 1 :])
+        meter = self.meter
+        meter.reconstructions += 1
+        if sig.first_index == sig.last_index:
+            meter.free_sig()
+            comp.explicit = [sig.bottom]
+            comp.explicit_floor = sig.floor
+            comp.ref_index = sig.last_index
+            return
+        g = self.geom
         scratch = CompressedStack(
-            geometry=self.geom.sub_geometry(lv, self.geom.block_start(sig.first_index, lv)),
+            geometry=g.sub_geometry(lv, g.block_start(sig.first_index, lv)),
             k=self.k,
-            meter=self.meter,
+            meter=meter,
             replay=self.replay,
             floor=sig.floor,
             guard_index=sig.first_index,
         )
-        self.meter.reconstructions += 1
         try:
+            if self.replay is None:
+                raise StackError("no replay delegate bound; cannot reconstruct")
             self.replay(scratch, sig.bottom, sig.last_index)
-            if scratch.second is not None and scratch.second.has_survivors():
-                scratch.tail.append(scratch._collapse(scratch.second, 2))
-            inner = scratch.first
-            if lv == self.geom.h and scratch.tail:
-                raise StackError("level-h replay produced sub-block signatures")
-            if not inner.explicit:
-                raise StackError(
-                    f"replay of block [{sig.first_index}..{sig.last_index}] left no top entry"
+            top = scratch.first.explicit
+            if scratch.live != sig.count or not top or top[-1].index != sig.last_index:
+                raise DeterminismError(
+                    f"replay of level-{lv} block [{sig.first_index}..{sig.last_index}] "
+                    f"rebuilt {scratch.live} entries, not the {sig.count} the run left, "
+                    f"or did not end on index {sig.last_index}"
                 )
+            second = scratch.second
+            if second is not None and not second.has_survivors():
+                second = None
+            if lv == g.h and second is not None:
+                raise StackError("level-h replay produced sub-block signatures")
         except BaseException:
             (self.tail if lv == 1 else comp.finished[lv - 2]).append(sig)
             raise
         else:
-            if lv < self.geom.h:
+            inner = scratch.first
+            previous, previous_floor = inner.previous, inner.previous_floor
+            if second is not None:
+                if scratch.geom.h == 1:
+                    # The scratch's level-1 blocks are level-h blocks here,
+                    # so its second component is the previous run.
+                    previous, previous_floor = second.explicit, second.explicit_floor
+                else:
+                    scratch.tail.append(scratch._collapse(second, 2))
+            if lv < g.h:
                 comp.finished[lv - 1] = scratch.tail
                 comp.finished[lv:] = inner.finished
+            comp.previous = previous
+            comp.previous_floor = previous_floor
             comp.explicit = inner.explicit
             comp.explicit_floor = inner.explicit_floor
             comp.ref_index = sig.last_index
@@ -498,10 +599,11 @@ class CompressedStack(StackInterface):
             for lst in comp.finished:
                 for sig in lst:
                     yield from self._iter_sig(sig)
-            for d in comp.explicit_floor:
-                yield "floor", d
-            for d in comp.explicit:
-                yield "explicit", d
+            for run, floor in comp.runs():
+                for d in floor:
+                    yield "floor", d
+                for d in run:
+                    yield "explicit", d
         for d in self.buffer:
             yield "buffer", d
 
@@ -521,18 +623,25 @@ class CompressedStack(StackInterface):
         for comp in (self.first, self.second):
             if comp is None:
                 continue
-            n += len(comp.explicit) + len(comp.explicit_floor)
+            n += sum(len(run) + len(floor) for run, floor in comp.runs())
             for lst in comp.finished:
                 for sig in lst:
                     n += 1 + len(sig.floor)
         return n
 
     def resident_data_bound(self) -> int:
-        h = self.geom.h
-        p = self.geom.p
-        k = self.k
-        bh = self.geom.sizes[-1]
-        return 2 * (bh + (h - 1) * (p - 1) * (k + 1) + (k + 1)) + k
+        """Cap on resident_data_count().
+
+        Each of the two components holds two runs (previous and explicit;
+        only one at h = 1, where `previous` stays empty) of at most one
+        deepest block each plus a floor of k-1 entries apiece, and at most
+        p-1 finished signatures on each of levels 2..h, each a bottom plus
+        k-1 floor entries; the buffer adds k.
+        """
+        g = self.geom
+        floor = max(self.k - 1, 0)
+        runs = 2 if g.h > 1 else 1
+        return 2 * (runs * (g.sizes[-1] + floor) + (g.h - 1) * (g.p - 1) * (1 + floor)) + self.k
 
     def tail_within_cap(self) -> bool:
         if self._max_index > self.geom.last_expected:
@@ -553,19 +662,31 @@ class CompressedStack(StackInterface):
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by tests and the checker."""
         self.check_space_cap()
-        prev = self.geom.origin - 1
+        g = self.geom
+        floor_cap = max(self.k - 1, 0)
+        prev = g.origin - 1
+        survivors = 0
         for sig in self.tail:
             assert prev < sig.first_index <= sig.last_index
             prev = sig.last_index
+            survivors += sig.count
         for comp in (self.second, self.first):
-            if comp is None or not comp.has_survivors():
+            if comp is None:
                 continue
             for lst in comp.finished:
                 for sig in lst:
                     assert prev < sig.first_index <= sig.last_index
+                    assert len(sig.floor) <= floor_cap
                     prev = sig.last_index
-            for d in comp.explicit:
-                assert prev < d.index
-                prev = d.index
+                    survivors += sig.count
+            for run, floor in comp.runs():
+                assert len(floor) <= floor_cap
+                if run:
+                    assert g.block_start(run[0].index, g.h) == g.block_start(run[-1].index, g.h)
+                for d in run:
+                    assert prev < d.index
+                    prev = d.index
+                survivors += len(run)
+        assert survivors == self.live, f"signatures and runs hold {survivors}, live is {self.live}"
         if self.buffer:
             assert len(self.buffer) <= max(self.k, 0)

@@ -88,7 +88,11 @@ class MemoryMeter:
 
 @dataclass
 class RunMetrics:
-    """Outcome of one run: timing, memory, and operation counts."""
+    """Outcome of one run: timing, memory, and operation counts.
+
+    `replay_lines` counts input lines re-read by replays; `peak_entries` is
+    the most entry records resident at once (`MemoryMeter.peak_data`).
+    """
 
     wall_seconds: float = 0.0
     peak_bytes: int = 0
@@ -98,6 +102,8 @@ class RunMetrics:
     pops: int = 0
     degraded_estimate: bool = False
     final_len: int = 0
+    replay_lines: int = 0
+    peak_entries: int = 0
 
     def csv_fields(self) -> dict:
         return {

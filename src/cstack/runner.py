@@ -247,6 +247,8 @@ class Runner:
             pops=pops,
             degraded_estimate=getattr(stack, "degraded", False),
             final_len=final_len,
+            replay_lines=self.meter.replay_lines,
+            peak_entries=self.meter.peak_data,
         )
         return RunResult(metrics=metrics, report=report)
 

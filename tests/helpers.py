@@ -51,13 +51,14 @@ def run_testrun(pairs, stack_kind="compressed", *, p=2, n_expect=None, k=1,
     return result, runner, stack, meter
 
 
-def run_twin_testrun(pairs, *, p, n_expect=None, k=1, deep=False, drain=True):
+def run_twin_testrun(pairs, *, p, n_expect=None, k=1, deep=False, drain=True,
+                     algo=None):
     """Run a trace against classic and compressed in lockstep."""
     n_expect = n_expect if n_expect is not None else max(len(pairs), 2)
     meter = MemoryMeter()
     compressed = CompressedStack(n_expect, p, k, meter=meter)
     twin = TwinStack(ClassicStack(), compressed, deep=deep)
-    runner = Runner(TestRun(), LineSource.from_text(pairs_to_text(pairs)), twin,
+    runner = Runner(algo or TestRun(), LineSource.from_text(pairs_to_text(pairs)), twin,
                     drain_report=drain)
     compressed.replay = runner.replay_segment
     result = runner.run()

@@ -36,14 +36,23 @@ class TestDirectPushes:
         assert cs.len() == 1
 
     def test_fold_on_deepest_boundary(self):
-        cs = CompressedStack(16, 2, k=1)  # sizes (8, 4, 2)
-        cs.push(entry(1))
-        cs.push(entry(2))
-        assert [d.index for d in cs.first.explicit] == [1, 2]
-        cs.push(entry(3))
-        assert [d.index for d in cs.first.explicit] == [3]
-        sigs = cs.first.finished[1]  # finished level-3 blocks
-        assert [(s.first_index, s.last_index) for s in sigs] == [(1, 2)]
+        cs = CompressedStack(27, 3, k=1)  # sizes (9, 3)
+        for i in (1, 2, 3):
+            cs.push(entry(i))
+        assert [d.index for d in cs.first.explicit] == [1, 2, 3]
+        # the first deepest crossing keeps the finished run explicit
+        cs.push(entry(4))
+        assert [d.index for d in cs.first.previous] == [1, 2, 3]
+        assert [d.index for d in cs.first.explicit] == [4]
+        assert cs.first.finished[0] == []
+        # the second folds the run it displaces, and only that one
+        for i in (5, 6, 7):
+            cs.push(entry(i))
+        assert [d.index for d in cs.first.previous] == [4, 5, 6]
+        assert [d.index for d in cs.first.explicit] == [7]
+        sigs = cs.first.finished[0]  # finished level-2 blocks
+        assert [(s.first_index, s.last_index, s.count) for s in sigs] == [(1, 3, 3)]
+        cs.check_invariants()
 
     def test_new_top_block_demotes_components(self):
         cs = CompressedStack(16, 2, k=1)
@@ -95,30 +104,32 @@ class TestTopAndBuffer:
             cs.top(3)
 
     def test_top_after_pop_run_answers_through_reconstruction(self):
-        # after the run, 1 and 2 survive only inside a signature; popping the
-        # explicit entries empties the buffer, so the next top(1) must replay
-        pairs = [(10, 0), (20, 0), (30, 0), (40, 0)]
-        result, runner, cs, meter = run_testrun(pairs, p=2, n_expect=8, drain=False)
-        assert cs.pop().payload.value == 40
-        assert cs.pop().payload.value == 30
+        # after the run, 1..3 survive only inside a signature (4..6 are the
+        # previous run); popping the explicit entries and the promoted
+        # previous run empties the buffer, so the next top(1) must replay
+        pairs = [(v, 0) for v in (10, 20, 30, 40, 50, 60, 70)]
+        result, runner, cs, meter = run_testrun(pairs, p=3, n_expect=27, drain=False)
+        for want in (70, 60, 50, 40):
+            assert cs.pop().payload.value == want
         assert meter.reconstructions == 0
         got = cs.top(1)
-        assert got.payload.value == 20
+        assert got.payload.value == 30
         assert meter.reconstructions == 1
-        assert cs.len() == 2
+        assert cs.len() == 3
         assert cs.top(1) == got  # served from the buffer now
 
 
-@pytest.mark.xfail(strict=True, raises=StackError,
-                   reason="floors are captured from a buffer that pops drain")
+class ProbingTestRun(TestRun):
+    """A k=2 TestRun whose push condition probes top(2) and ignores it."""
+
+    k = 2
+
+    def push_condition(self, payload, ctx, top):
+        top.top(2)
+        return True
+
+
 def test_k2_probe_after_pops_reads_a_full_floor():
-    class ProbingTestRun(TestRun):
-        k = 2
-
-        def push_condition(self, payload, ctx, top):
-            top.top(2)
-            return True
-
     rng = random.Random(0)
     text = pairs_to_text((i, rng.choice([0, 0, 0, 1, 2, 3])) for i in range(1, 601))
     classic = Runner(ProbingTestRun(), LineSource.from_text(text), ClassicStack()).run()
@@ -129,9 +140,11 @@ def test_k2_probe_after_pops_reads_a_full_floor():
 
 class TestOracleEquivalence:
     def test_spec_pop_trace(self):
-        # four pushes then a four-pop element: the pop of index 2 rebuilds
-        # the folded pair, exactly one reconstruction
-        pairs = [(9, 0), (8, 0), (7, 0), (6, 0), (5, 4)]
+        # eight pushes then an eight-pop element: index 5 folds [1..4] into a
+        # level-2 signature, the previous run [5, 6] is promoted without a
+        # replay, and the pop of index 4 rebuilds the folded block, exactly
+        # one reconstruction
+        pairs = [(v, 0) for v in range(16, 8, -1)] + [(5, 8)]
         result, runner, cs, meter = run_testrun(pairs, p=2, n_expect=16)
         assert result.report == ["5"]
         assert meter.reconstructions == 1
@@ -146,22 +159,37 @@ class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_traces_deep_checked(self, data):
+        # k=2 stacks keep a one-entry floor per run; a k=2 stack under the
+        # plain k=1 TestRun is never probed, so its pushes refill the buffer
         n = data.draw(st.integers(min_value=1, max_value=120))
         rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
         pairs = random_trace(rng, n)
         p = data.draw(st.sampled_from([2, 3, 5, 8]))
-        result, twin = run_twin_testrun(pairs, p=p, deep=True)
+        algo = data.draw(st.sampled_from([TestRun, ProbingTestRun]))()
+        k = data.draw(st.sampled_from(sorted({algo.k, 2})))
+        result, twin = run_twin_testrun(pairs, p=p, k=k, deep=True, algo=algo)
         pop_seq, final = replay_testrun(pairs)
         assert result.report == [str(v) for v in reversed(final)]
 
 
 class TestReconstruction:
     def test_single_entry_signature_reads_no_input(self):
-        # fold {1} alone into a signature, then pop back to it
-        pairs = [(10, 0), (20, 0), (30, 1), (40, 2)]
-        result, runner, cs, meter = run_testrun(pairs, p=2, n_expect=16, drain=False)
+        # {1} alone becomes the previous run at index 4 and is folded into a
+        # signature at index 7; the last element pops back through it, and
+        # restoring a lone survivor calls no replay at all
+        pairs = [(10, 0), (20, 0), (30, 1), (40, 1), (50, 0), (60, 0), (70, 0), (80, 5)]
+        meter = MemoryMeter()
+        cs = CompressedStack(27, 3, k=1, meter=meter)
+        runner = Runner(TestRun(), LineSource.from_text(pairs_to_text(pairs)), cs,
+                        drain_report=False)
+        replays = []
+        cs.replay = lambda *args: replays.append(args)
+        result = runner.run()
         assert meter.reconstructions == 1
         assert meter.replay_lines == 0
+        assert replays == []
+        assert result.metrics.pops == 7
+        assert [d.index for d in cs.first.explicit] == [8]
 
     def test_full_block_replay_reads_its_range_once(self):
         # 48 pushes build three level-1 blocks of 16 (n=64, p=4); a deep pop
@@ -212,9 +240,11 @@ class TestReconstruction:
                     return True  # fires only when element 2 is replayed
                 return super().pop_condition(payload, ctx, top)
 
-        pairs = [(10, 0), (20, 0), (30, 0), (40, 0), (99, 4)]
+        # 1..3 fold into a signature when 7 displaces their previous run;
+        # the last element pops 7, the promoted run 4..6, then replays 1..3
+        pairs = [(v, 0) for v in (10, 20, 30, 40, 50, 60, 70)] + [(99, 7)]
         meter = MemoryMeter()
-        cs = CompressedStack(16, 2, k=1, meter=meter)
+        cs = CompressedStack(27, 3, k=1, meter=meter)
         runner = Runner(Impure(), LineSource.from_text(pairs_to_text(pairs)), cs,
                         drain_report=False)
         with pytest.raises(DeterminismError):
@@ -224,6 +254,27 @@ class TestReconstruction:
         cs.check_invariants()
         with pytest.raises(DeterminismError):
             cs.pop()
+        cs.check_invariants()
+        cs.dispose()
+        assert meter.live_bytes == 0
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_impure_condition_raises_instead_of_corrupting(self, seed):
+        # a pop condition that flips its answer once in 5,000 calls makes a
+        # replay rebuild another number of survivors than the run left
+        class Misfiring(TestRun):
+            def __init__(self):
+                self.rng = random.Random(seed)
+
+            def pop_condition(self, payload, ctx, top):
+                want = super().pop_condition(payload, ctx, top)
+                return want != (self.rng.random() < 1 / 5000)
+
+        meter = MemoryMeter()
+        cs = CompressedStack(4096, 8, k=1, meter=meter)
+        text = generate(GenSpec("xmas", 4096, 0.0, 0))
+        with pytest.raises(StackError, match=r"block \[\d+\.\.\d+\]"):
+            Runner(Misfiring(), LineSource.from_text(text), cs).run()
         cs.check_invariants()
         cs.dispose()
         assert meter.live_bytes == 0
@@ -319,24 +370,24 @@ GOLDEN_INPUTS = {
     "pushonly": ("pushonly", 1.0, "testrun"),
 }
 GOLDEN = {
-    ("xmas", "2", "scan"): (729, 1945, 1552, 340, 1708),
-    ("xmas", "2", "drained"): (1268, 4660, 1568, 340, 2048),
-    ("xmas", "log", "scan"): (219, 3157, 3424, 340, 1708),
-    ("xmas", "log", "drained"): (309, 4473, 3504, 340, 2048),
-    ("xmas", "sqrt", "scan"): (52, 1737, 5656, 340, 1708),
-    ("xmas", "sqrt", "drained"): (79, 2330, 5656, 340, 2048),
-    ("points", "2", "scan"): (18939, 45607, 2392, 12, 2036),
-    ("points", "2", "drained"): (20047, 48366, 2392, 12, 2048),
-    ("points", "log", "scan"): (812, 5596, 2160, 12, 2036),
-    ("points", "log", "drained"): (818, 5612, 2160, 12, 2048),
-    ("points", "sqrt", "scan"): (235, 2292, 1936, 12, 2036),
-    ("points", "sqrt", "drained"): (239, 2298, 1936, 12, 2048),
-    ("pushonly", "2", "scan"): (0, 0, 3456, 2048, 0),
-    ("pushonly", "2", "drained"): (1022, 8194, 4688, 2048, 2048),
-    ("pushonly", "log", "scan"): (0, 0, 7280, 2048, 0),
-    ("pushonly", "log", "drained"): (185, 3500, 7960, 2048, 2048),
-    ("pushonly", "sqrt", "scan"): (0, 0, 11616, 2048, 0),
-    ("pushonly", "sqrt", "drained"): (44, 1936, 11616, 2048, 2048),
+    ("xmas", "2", "scan"): (184, 1400, 1432, 340, 1708),
+    ("xmas", "2", "drained"): (336, 3728, 1448, 340, 2048),
+    ("xmas", "log", "scan"): (126, 2437, 3312, 340, 1708),
+    ("xmas", "log", "drained"): (206, 3673, 3312, 340, 2048),
+    ("xmas", "sqrt", "scan"): (14, 340, 5592, 340, 1708),
+    ("xmas", "sqrt", "drained"): (40, 922, 5592, 340, 2048),
+    ("points", "2", "scan"): (9865, 42564, 1696, 12, 2036),
+    ("points", "2", "drained"): (10389, 45093, 1696, 12, 2048),
+    ("points", "log", "scan"): (358, 4758, 1656, 12, 2036),
+    ("points", "log", "drained"): (363, 4764, 1656, 12, 2048),
+    ("points", "sqrt", "scan"): (38, 82, 1464, 12, 2036),
+    ("points", "sqrt", "drained"): (41, 88, 1464, 12, 2048),
+    ("pushonly", "2", "scan"): (0, 0, 2376, 2048, 0),
+    ("pushonly", "2", "drained"): (510, 7682, 3208, 2048, 2048),
+    ("pushonly", "log", "scan"): (0, 0, 6312, 2048, 0),
+    ("pushonly", "log", "drained"): (168, 3330, 6440, 2048, 2048),
+    ("pushonly", "sqrt", "scan"): (0, 0, 11496, 2048, 0),
+    ("pushonly", "sqrt", "drained"): (43, 1892, 11496, 2048, 2048),
 }
 
 

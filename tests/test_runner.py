@@ -202,15 +202,17 @@ class TestChecker:
 
 
 def test_pushes_and_pops_counted_without_replay_inflation():
-    pairs = [(9, 0), (8, 0), (7, 0), (6, 0), (5, 4)]
+    # the eighth pop replays the folded level-2 block [1..4]
+    pairs = [(v, 0) for v in range(16, 8, -1)] + [(5, 8)]
     src = LineSource.from_text(pairs_to_text(pairs))
     meter = MemoryMeter()
     cs = CompressedStack(16, 2, 1, meter=meter)
     runner = Runner(TestRun(), src, cs, drain_report=False)
     result = runner.run()
     assert runner.meter.reconstructions == 1
-    assert result.metrics.pushes == 5
-    assert result.metrics.pops == 4  # the replayed push of index 2 is not counted
+    assert meter.replay_lines == 3
+    assert result.metrics.pushes == 9
+    assert result.metrics.pops == 8  # the replayed pushes of 2..4 are not counted
 
 
 def test_classic_runs_count_zero_reconstructions():
