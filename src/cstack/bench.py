@@ -101,6 +101,8 @@ def metrics_footer(m: RunMetrics) -> list[str]:
         f"# reconstructions={m.reconstructions}",
         f"# replay_lines={m.replay_lines}",
         f"# peak_entries={m.peak_entries}",
+        f"# promotions={m.promotions}",
+        f"# max_replay_depth={m.max_replay_depth}",
         f"# pushes={m.pushes} pops={m.pops}",
         f"# final_stack_len={m.final_len}",
         f"# degraded_estimate={str(m.degraded_estimate).lower()}",

@@ -2,15 +2,17 @@
 
 The input positions 1..n are cut into blocks, each block into sub-blocks, and
 so on for h levels; a level-1 block holds roughly n/p positions and the block
-size shrinks by a factor p per level.  Only the two most recent level-1 blocks
-keep any detail (`first`, the push target, and `second`, its predecessor);
-older blocks survive as one signature each in `tail`.  Inside a component,
-finished sub-blocks are likewise collapsed to signatures, with the same
-hysteresis at the deepest level: the run of the deepest block being pushed
-stays explicit, and so does the run of the deepest block before it (the
-previous run), which is folded only when a third deepest block starts.  So at
-most two explicit runs exist per component plus O(p) signatures per level,
-and a pop just past a deepest boundary finds detail instead of replaying.
+size shrinks by a factor p per level.  Every level keeps two blocks in some
+detail: the block being pushed to and the one before it, as Barba et al.'s
+compressed stack does.  At level 1 these are `first`, the push target, and
+`second`, its predecessor; older blocks survive as one signature each in
+`tail`.  Inside a component, finished sub-blocks are collapsed to signatures,
+except that the previous block at every middle level 2..h-1 is held as the
+list of its own sub-block signatures, and the previous block at the deepest
+level keeps its run explicit.  A held list or previous run is folded into one
+signature only when a third block of its level starts, or when its component
+is demoted to `second`.  So a pop that empties a block finds its predecessor
+one level finer instead of replaying all of it.
 
 A signature records the index range and number of its surviving entries, the
 full bottom entry (payload plus restart snapshot), and a small floor buffer:
@@ -135,42 +137,51 @@ class BlockSignature:
 class Component:
     """Detailed representation of one level-1 block (or sub-block in replays).
 
-    Stack order, bottom to top: finished[2] signatures, finished[3], ...,
-    finished[h], then the previous run, then the explicit run.
-    finished[lv] (stored at finished lists index lv-2) are the signatures of
-    finished level-lv blocks inside the currently active level-(lv-1) block.
-    The explicit run holds the survivors of the deepest block last pushed to;
-    the previous run holds those of an earlier deepest block of the same
-    level-(h-1) block, kept explicit until the next deepest boundary folds
-    it into finished[h].  Each run carries its own floor.  With h = 1 the
-    deepest blocks are level-1 blocks, whose pair is the stack's `first` and
-    `second`, so `previous` stays empty.
+    Stack order, bottom to top: finished[2] signatures, held[2], finished[3],
+    held[3], ..., held[h-1], finished[h], then the previous run, then the
+    explicit run.  finished[lv] (stored at finished index lv-2) are the
+    signatures of finished level-lv blocks inside the active level-(lv-1)
+    block.  held[c] (stored at held index c-2, for the middle levels
+    2..h-1) is the most recent finished level-c block of that same parent,
+    kept as the signatures of its level-(c+1) sub-blocks, so at most p of
+    them.  The explicit run holds the survivors of the deepest block last
+    pushed to; the previous run holds those of an earlier deepest block of
+    the same level-(h-1) block, which is the deepest level's held block.
+    Each run carries its own floor.  With h = 1 the deepest blocks are
+    level-1 blocks, whose pair is the stack's `first` and `second`, so
+    `previous` stays empty.
     """
 
     __slots__ = (
-        "ref_index", "finished", "previous", "previous_floor", "explicit", "explicit_floor"
+        "ref_index", "finished", "held", "previous", "previous_floor", "explicit",
+        "explicit_floor",
     )
 
     def __init__(self, ref_index: int, h: int):
         self.ref_index = ref_index
         self.finished: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 1))]
+        self.held: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 2))]
         self.previous: list[Data] = []
         self.previous_floor: tuple[Data, ...] = ()
         self.explicit: list[Data] = []
         self.explicit_floor: tuple[Data, ...] = ()
 
     def has_survivors(self) -> bool:
-        return bool(self.explicit) or bool(self.previous) or any(self.finished)
+        # A drain calls this on every pop once `first` is empty; below h = 3
+        # `held` is an empty list, so testing it before any() costs nothing.
+        return bool(
+            self.explicit or self.previous or any(self.finished) or self.held and any(self.held)
+        )
 
     def runs(self) -> tuple[tuple[list[Data], tuple[Data, ...]], ...]:
         """(entries, floor) of the previous and the explicit run, bottom to top."""
         return (self.previous, self.previous_floor), (self.explicit, self.explicit_floor)
 
-    def deepest_nonempty_level(self) -> int | None:
-        for i in range(len(self.finished) - 1, -1, -1):
-            if self.finished[i]:
-                return i + 2
-        return None
+    def clear_runs(self) -> None:
+        self.previous = []
+        self.previous_floor = ()
+        self.explicit = []
+        self.explicit_floor = ()
 
 
 class CompressedStack(StackInterface):
@@ -323,20 +334,9 @@ class CompressedStack(StackInterface):
         if self._disposed:
             return
         self._disposed = True
-        for comp in (self.first, self.second):
-            if comp is None:
-                continue
-            self._free_entries(sum(len(run) + len(floor) for run, floor in comp.runs()))
-            comp.previous = []
-            comp.previous_floor = ()
-            comp.explicit = []
-            comp.explicit_floor = ()
-            for lst in comp.finished:
-                for sig in lst:
-                    self._free_sig(sig)
-                lst.clear()
-        for sig in self.tail:
-            self._free_sig(sig)
+        sigs, entries = self._counts(self._walk())
+        self.meter.free_sig(sigs)
+        self._free_entries(entries)
         self.tail = []
         self.buffer = []
         self.meter.free_slot(self.k)
@@ -350,11 +350,12 @@ class CompressedStack(StackInterface):
         """Fold what a push at index finishes; return the component whose
         explicit run, now empty and with its floor captured, takes the push.
 
-        Crossing into a new level-1 block demotes `first` to `second` and
-        folds the old `second` into the tail.  Crossing a deepest boundary
-        only moves the explicit run to the previous run, folding the one it
-        displaces.  Crossing at any level in between folds every finished
-        block and both runs below that level into one signature.
+        Crossing into a new level-1 block folds the old `second` into the
+        tail and demotes `first` to `second`, folding each of its held lists
+        into one signature.  Crossing a boundary at level c > 1 keeps the
+        finished level-c block as the held block of its level, which
+        displaces (and folds) the one held before: as a list of signatures
+        at a middle level, as the previous run at the deepest level.
         """
         g = self.geom
         comp = self.first
@@ -369,25 +370,32 @@ class CompressedStack(StackInterface):
                 self.buffer = list(reversed(self._peek_top(depth)))
             cross = g.cross_level(comp.ref_index, index)
             if cross == 1:
-                sig = self._collapse(self.second, 2)
+                sig = self._collapse(self.second, 1) if self.second is not None else None
                 if sig is not None:
                     self.tail.append(sig)
+                for finished, held in zip(comp.finished, comp.held):
+                    if held:
+                        finished.append(self._merge(held))
+                        held.clear()
                 self.second = comp
                 comp = self.first = Component(index, g.h)
             elif cross == g.h:
                 if comp.explicit:
                     if comp.previous:
                         comp.finished[-1].append(
-                            self._fold_run(comp.previous, comp.previous_floor)
+                            self._merge((), [(comp.previous, comp.previous_floor)])
                         )
                     comp.previous = comp.explicit
                     comp.previous_floor = comp.explicit_floor
                     comp.explicit = []
                     comp.explicit_floor = ()
             elif cross is not None:
-                sig = self._collapse(comp, cross + 1)
-                if sig is not None:
-                    comp.finished[cross - 2].append(sig)
+                sigs = self._split(comp, cross)
+                if sigs:
+                    held = comp.held[cross - 2]
+                    if held:
+                        comp.finished[cross - 2].append(self._merge(held))
+                    comp.held[cross - 2] = sigs
             comp.ref_index = index
         # A refill that rebuilt comp's explicit run left the top entry there,
         # in a deepest block before index's, so the crossing moved it away.
@@ -398,19 +406,48 @@ class CompressedStack(StackInterface):
             self.meter.alloc_slot(len(floor))
         return comp
 
-    def _collapse(self, comp: Component | None, from_level: int) -> BlockSignature | None:
-        """Fold finished[from_level..h] plus both runs into one signature.
-
-        The signature summarizes the finished level-(from_level - 1) block.
-        Returns None when there is nothing to fold.  Frees every record the
-        fold drops; the bottom constituent's bottom/floor records move into
-        the new signature unchanged.
+    def _split(self, comp: Component, c: int) -> list[BlockSignature]:
+        """Signatures of the level-(c+1) sub-blocks of comp's active level-c
+        block, bottom to top, for 1 <= c < h.  Nothing below level c stays
+        in comp: a held list or run inside the block folds into one of them.
         """
-        if comp is None:
-            return None
-        lists = comp.finished[from_level - 2 :]
-        sigs = [sig for lst in lists for sig in lst]
-        runs = [(run, floor) for run, floor in comp.runs() if run]
+        if c == len(comp.finished):
+            # c = h-1: the sub-blocks are level-h blocks, the runs among them
+            sigs = comp.finished[-1]
+            sigs += [self._merge((), [run]) for run in comp.runs() if run[0]]
+            comp.clear_runs()
+        else:
+            sigs = comp.finished[c - 1]
+            if comp.held[c - 1]:
+                sigs.append(self._merge(comp.held[c - 1]))
+                comp.held[c - 1] = []
+            active = self._collapse(comp, c + 1)
+            if active is not None:
+                sigs.append(active)
+        comp.finished[c - 1] = []
+        return sigs
+
+    def _collapse(self, comp: Component, c: int) -> BlockSignature | None:
+        """Fold everything below level c in comp, its active level-c block,
+        into one signature; None when nothing survives there."""
+        sigs: list[BlockSignature] = []
+        for i in range(c - 1, len(comp.finished)):
+            sigs += comp.finished[i]
+            comp.finished[i] = []
+            if i < len(comp.held):
+                sigs += comp.held[i]
+                comp.held[i] = []
+        runs = [run for run in comp.runs() if run[0]]
+        comp.clear_runs()
+        return self._merge(sigs, runs)
+
+    def _merge(self, sigs, runs=()) -> BlockSignature | None:
+        """One signature for sigs then runs, the surviving parts of one block
+        in stack order; None when there are none.
+
+        Frees every record the fold drops before allocating the signature;
+        the bottom part's bottom and floor records move into it unchanged.
+        """
         if not sigs and not runs:
             return None
         dropped = sum(len(run) + len(floor) for run, floor in runs)
@@ -428,23 +465,10 @@ class CompressedStack(StackInterface):
             dropped -= 1 + len(floor)
         last_index = runs[-1][0][-1].index if runs else sigs[-1].last_index
         count = sum(sig.count for sig in sigs) + sum(len(run) for run, _ in runs)
-        for lst in lists:
-            lst.clear()
         if dropped:
             self._free_entries(dropped)
-        comp.previous = []
-        comp.previous_floor = ()
-        comp.explicit = []
-        comp.explicit_floor = ()
         self.meter.alloc_sig()
         return BlockSignature(first_index, last_index, count, bottom, floor)
-
-    def _fold_run(self, run: list[Data], floor: tuple[Data, ...]) -> BlockSignature:
-        """Signature of one explicit run; its bottom and floor move into it."""
-        if len(run) > 1:
-            self._free_entries(len(run) - 1)
-        self.meter.alloc_sig()
-        return BlockSignature(run[0].index, run[-1].index, len(run), run[0], floor)
 
     def _free_sig(self, sig: BlockSignature) -> None:
         self.meter.free_sig()
@@ -473,7 +497,10 @@ class CompressedStack(StackInterface):
 
         An empty explicit run means the top sits in the previous run, which
         is promoted without a replay, or else in the newest signature of the
-        deepest non-empty level, which is expanded into place.
+        first non-empty list on a walk down the stack.  A held list met on
+        that walk is promoted first: the active block of its level is empty,
+        so the held block becomes the active one, and only its newest
+        sub-block is expanded.
         """
         if self.first is not None and self.first.has_survivors():
             comp = self.first
@@ -490,9 +517,17 @@ class CompressedStack(StackInterface):
                 comp.previous = []
                 comp.previous_floor = ()
                 comp.ref_index = comp.explicit[-1].index
+                self.meter.promotions += 1
             else:
-                lv = comp.deepest_nonempty_level()
-                self._expand_into(comp, comp.finished[lv - 2].pop(), lv)
+                finished, held = comp.finished, comp.held
+                # finished[i] holds level i+2, above held[i-1] (level i+1)
+                for i in range(len(finished) - 1, -1, -1):
+                    if not finished[i] and i and held[i - 1]:
+                        finished[i], held[i - 1] = held[i - 1], []
+                        self.meter.promotions += 1
+                    if finished[i]:
+                        self._expand_into(comp, finished[i].pop(), i + 2)
+                        break
         return comp
 
     def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
@@ -503,13 +538,14 @@ class CompressedStack(StackInterface):
         replay runs on a scratch stack restricted to the signature's block,
         where level i is level lv + i here, and must rebuild exactly the
         signature's survivors, ending on its top entry; the scratch's lists
-        and runs then move into comp below level lv.  The scratch is released
-        whether or not the replay succeeds; on failure sig goes back where it
-        was popped from, so the stack stays whole and a retry fails the same
-        way.  Both paths count as one reconstruction.
+        and runs then move into comp below level lv, its `second` as the
+        held block of level lv+1.  The scratch is released whether or not
+        the replay succeeds; on failure sig goes back where it was popped
+        from, so the stack stays whole and a retry fails the same way.  Both
+        paths count as one reconstruction.
         """
         assert not comp.explicit and not comp.previous
-        assert all(not l for l in comp.finished[lv - 1 :])
+        assert not any(comp.finished[lv - 1 :]) and not any(comp.held[max(lv - 2, 0) :])
         meter = self.meter
         meter.reconstructions += 1
         if sig.first_index == sig.last_index:
@@ -527,6 +563,9 @@ class CompressedStack(StackInterface):
             floor=sig.floor,
             guard_index=sig.first_index,
         )
+        meter.replay_depth += 1
+        if meter.replay_depth > meter.max_replay_depth:
+            meter.max_replay_depth = meter.replay_depth
         try:
             if self.replay is None:
                 raise StackError("no replay delegate bound; cannot reconstruct")
@@ -549,16 +588,20 @@ class CompressedStack(StackInterface):
         else:
             inner = scratch.first
             previous, previous_floor = inner.previous, inner.previous_floor
+            held: list[BlockSignature] = []
             if second is not None:
                 if scratch.geom.h == 1:
                     # The scratch's level-1 blocks are level-h blocks here,
                     # so its second component is the previous run.
                     previous, previous_floor = second.explicit, second.explicit_floor
                 else:
-                    scratch.tail.append(scratch._collapse(second, 2))
+                    held = scratch._split(second, 1)
             if lv < g.h:
                 comp.finished[lv - 1] = scratch.tail
                 comp.finished[lv:] = inner.finished
+            if lv < g.h - 1:
+                comp.held[lv - 1] = held
+                comp.held[lv:] = inner.held
             comp.previous = previous
             comp.previous_floor = previous_floor
             comp.explicit = inner.explicit
@@ -568,6 +611,7 @@ class CompressedStack(StackInterface):
             scratch.first = scratch.second = None
             self._free_sig(sig)
         finally:
+            meter.replay_depth -= 1
             scratch.dispose()
 
     def _peek_top(self, j: int) -> list[Data]:
@@ -589,29 +633,50 @@ class CompressedStack(StackInterface):
 
     # -- introspection (checker and tests) ---------------------------------
 
-    def iter_resident(self):
-        """Yield (kind, data) for every resident entry copy, bottom to top."""
-        for sig in self.tail:
-            yield from self._iter_sig(sig)
+    def _walk(self):
+        """Every signature list and run below the buffer, bottom to top.
+
+        Yields ("sigs", signatures, c), c the level of the held block the
+        list splits or 0, and ("run", entries, floor).  The tail comes first.
+        """
+        yield "sigs", self.tail, 0
         for comp in (self.second, self.first):
             if comp is None:
                 continue
-            for lst in comp.finished:
-                for sig in lst:
-                    yield from self._iter_sig(sig)
+            for i, sigs in enumerate(comp.finished):
+                yield "sigs", sigs, 0
+                if i < len(comp.held):
+                    yield "sigs", comp.held[i], i + 2
             for run, floor in comp.runs():
-                for d in floor:
-                    yield "floor", d
-                for d in run:
-                    yield "explicit", d
-        for d in self.buffer:
-            yield "buffer", d
+                yield "run", run, floor
 
     @staticmethod
-    def _iter_sig(sig: BlockSignature):
-        for d in sig.floor:
-            yield "floor", d
-        yield "bottom", sig.bottom
+    def _counts(walk) -> tuple[int, int]:
+        """(signatures, entry copies) in the walked lists and runs."""
+        sigs = entries = 0
+        for kind, items, extra in walk:
+            if kind == "run":
+                entries += len(items) + len(extra)
+            else:
+                sigs += len(items)
+                entries += sum(1 + len(sig.floor) for sig in items)
+        return sigs, entries
+
+    def iter_resident(self):
+        """Yield (kind, data) for every resident entry copy, bottom to top."""
+        for kind, items, extra in self._walk():
+            if kind == "run":
+                for d in extra:
+                    yield "floor", d
+                for d in items:
+                    yield "explicit", d
+                continue
+            for sig in items:
+                for d in sig.floor:
+                    yield "floor", d
+                yield "bottom", sig.bottom
+        for d in self.buffer:
+            yield "buffer", d
 
     def resident_data_count(self) -> int:
         """Entry copies held by the buffer and the two detailed components.
@@ -619,29 +684,29 @@ class CompressedStack(StackInterface):
         Tail signatures are left out: the tail is capped separately, by
         tail_within_cap.
         """
-        n = len(self.buffer)
-        for comp in (self.first, self.second):
-            if comp is None:
-                continue
-            n += sum(len(run) + len(floor) for run, floor in comp.runs())
-            for lst in comp.finished:
-                for sig in lst:
-                    n += 1 + len(sig.floor)
-        return n
+        walk = self._walk()
+        next(walk)  # the tail
+        return len(self.buffer) + self._counts(walk)[1]
 
     def resident_data_bound(self) -> int:
         """Cap on resident_data_count().
 
-        Each of the two components holds two runs (previous and explicit;
-        only one at h = 1, where `previous` stays empty) of at most one
-        deepest block each plus a floor of k-1 entries apiece, and at most
-        p-1 finished signatures on each of levels 2..h, each a bottom plus
-        k-1 floor entries; the buffer adds k.
+        With f = k-1 floor entries per run or signature, each of the two
+        components holds:
+        - two runs (previous and explicit; only one at h = 1, where
+          `previous` stays empty) of at most one deepest block, p entries,
+          plus a floor of f apiece;
+        - at most p-1 finished signatures on each of levels 2..h, each a
+          bottom plus f floor entries;
+        - a held list on each of the h-2 middle levels 2..h-1, at most p
+          signatures of 1+f entries each.
+        The buffer adds k.
         """
         g = self.geom
         floor = max(self.k - 1, 0)
         runs = 2 if g.h > 1 else 1
-        return 2 * (runs * (g.sizes[-1] + floor) + (g.h - 1) * (g.p - 1) * (1 + floor)) + self.k
+        sigs = (g.h - 1) * (g.p - 1) + max(g.h - 2, 0) * g.p
+        return 2 * (runs * (g.sizes[-1] + floor) + sigs * (1 + floor)) + self.k
 
     def tail_within_cap(self) -> bool:
         if self._max_index > self.geom.last_expected:
@@ -666,27 +731,27 @@ class CompressedStack(StackInterface):
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
         survivors = 0
-        for sig in self.tail:
-            assert prev < sig.first_index <= sig.last_index
-            prev = sig.last_index
-            survivors += sig.count
-        for comp in (self.second, self.first):
-            if comp is None:
-                continue
-            for lst in comp.finished:
-                for sig in lst:
-                    assert prev < sig.first_index <= sig.last_index
-                    assert len(sig.floor) <= floor_cap
-                    prev = sig.last_index
-                    survivors += sig.count
-            for run, floor in comp.runs():
-                assert len(floor) <= floor_cap
-                if run:
-                    assert g.block_start(run[0].index, g.h) == g.block_start(run[-1].index, g.h)
-                for d in run:
+        for kind, items, extra in self._walk():
+            if kind == "run":
+                assert len(extra) <= floor_cap
+                if items:
+                    assert g.block_start(items[0].index, g.h) == g.block_start(items[-1].index, g.h)
+                for d in items:
                     assert prev < d.index
                     prev = d.index
-                survivors += len(run)
+                survivors += len(items)
+                continue
+            if extra and items:
+                # a held level-c block: at most p sub-blocks, all inside it
+                assert len(items) <= g.p
+                assert g.block_start(items[0].first_index, extra) == g.block_start(
+                    items[-1].last_index, extra
+                )
+            for sig in items:
+                assert prev < sig.first_index <= sig.last_index
+                assert len(sig.floor) <= floor_cap
+                prev = sig.last_index
+                survivors += sig.count
         assert survivors == self.live, f"signatures and runs hold {survivors}, live is {self.live}"
         if self.buffer:
             assert len(self.buffer) <= max(self.k, 0)

@@ -30,7 +30,10 @@ class MemoryMeter:
 
     One meter is shared by a stack and every scratch structure its replays
     spawn, so reconstruction memory and nested reconstruction counts all land
-    in the same place.
+    in the same place.  `promotions` counts previous runs and held lists
+    restored without a replay; `max_replay_depth` is the deepest nesting of
+    replays, `replay_depth` the current one.  Both change only when a block
+    is restored, never per element.
     """
 
     __slots__ = (
@@ -40,6 +43,9 @@ class MemoryMeter:
         "peak_data",
         "replay_lines",
         "reconstructions",
+        "promotions",
+        "replay_depth",
+        "max_replay_depth",
     )
 
     def __init__(self):
@@ -49,6 +55,9 @@ class MemoryMeter:
         self.peak_data = 0
         self.replay_lines = 0
         self.reconstructions = 0
+        self.promotions = 0
+        self.replay_depth = 0
+        self.max_replay_depth = 0
 
     # Each method does its own arithmetic: they run on every push and pop.
     def alloc_data(self, count: int = 1) -> None:
@@ -91,7 +100,9 @@ class RunMetrics:
     """Outcome of one run: timing, memory, and operation counts.
 
     `replay_lines` counts input lines re-read by replays; `peak_entries` is
-    the most entry records resident at once (`MemoryMeter.peak_data`).
+    the most entry records resident at once (`MemoryMeter.peak_data`);
+    `promotions` and `max_replay_depth` are the meter's counters of the same
+    names.
     """
 
     wall_seconds: float = 0.0
@@ -104,6 +115,8 @@ class RunMetrics:
     final_len: int = 0
     replay_lines: int = 0
     peak_entries: int = 0
+    promotions: int = 0
+    max_replay_depth: int = 0
 
     def csv_fields(self) -> dict:
         return {

@@ -21,12 +21,13 @@ from __future__ import annotations
 import bisect
 import copy
 import io
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from .compressed import CompressedStack
-from .core import ClassicStack, ContractError, Data, StackInterface
+from .core import ClassicStack, ContractError, Data, DeterminismError, StackInterface
 from .metrics import MemoryMeter, RunMetrics
 
 
@@ -120,13 +121,16 @@ class LineSource:
     Cursors skip blank lines and '#' comment lines; positions refer to the
     underlying byte stream, so a cursor opened at a saved position re-reads
     exactly the bytes that followed it.  The content must not change during a
-    run.
+    run: a file's size and modification time are recorded when its first
+    cursor opens, and a later cursor that finds them changed raises
+    DeterminismError instead of replaying other lines.
     """
 
     def __init__(self, path: str | None = None, data: bytes | None = None):
         self._path = path
         self._data = data
         self._handles: list = []
+        self._stamp: tuple[int, int] | None = None
 
     @classmethod
     def from_path(cls, path) -> "LineSource":
@@ -139,6 +143,16 @@ class LineSource:
     def cursor(self, pos: int = 0) -> "LineCursor":
         if self._path is not None:
             handle = open(self._path, "rb")
+            st = os.fstat(handle.fileno())
+            stamp = (st.st_size, st.st_mtime_ns)
+            if self._stamp is None:
+                self._stamp = stamp
+            elif stamp != self._stamp:
+                handle.close()
+                raise DeterminismError(
+                    f"input {self._path} changed during the run: (size, mtime_ns) "
+                    f"{self._stamp} -> {stamp}"
+                )
         else:
             handle = io.BytesIO(self._data)
         if pos:
@@ -249,6 +263,8 @@ class Runner:
             final_len=final_len,
             replay_lines=self.meter.replay_lines,
             peak_entries=self.meter.peak_data,
+            promotions=self.meter.promotions,
+            max_replay_depth=self.meter.max_replay_depth,
         )
         return RunResult(metrics=metrics, report=report)
 

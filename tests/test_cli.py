@@ -40,6 +40,8 @@ def test_run_prints_report_and_metrics_footer(tmp_path, capsys):
     fields = dict(l[2:].split("=", 1) for l in footer if l.count("=") == 1)
     assert int(fields["replay_lines"]) >= 0
     assert int(fields["peak_entries"]) > 0
+    assert int(fields["promotions"]) >= 0
+    assert int(fields["max_replay_depth"]) >= (int(fields["replay_lines"]) > 0)
     xs = [float(l.split(",")[0]) for l in hull]
     assert xs == sorted(xs, reverse=True)  # hull reported right to left
 

@@ -140,14 +140,18 @@ def test_k2_probe_after_pops_reads_a_full_floor():
 
 class TestOracleEquivalence:
     def test_spec_pop_trace(self):
-        # eight pushes then an eight-pop element: index 5 folds [1..4] into a
-        # level-2 signature, the previous run [5, 6] is promoted without a
-        # replay, and the pop of index 4 rebuilds the folded block, exactly
-        # one reconstruction
+        # eight pushes then an eight-pop element: index 5 keeps the level-2
+        # block [1..4] held as the signatures of [1, 2] and [3, 4], the
+        # previous run [5, 6] is promoted without a replay, and the pops of
+        # 4 and of 2 each rebuild one deepest block: two reconstructions of
+        # one replayed line each, where folding [1..4] whole took one
+        # reconstruction of three lines
         pairs = [(v, 0) for v in range(16, 8, -1)] + [(5, 8)]
         result, runner, cs, meter = run_testrun(pairs, p=2, n_expect=16)
         assert result.report == ["5"]
-        assert meter.reconstructions == 1
+        assert meter.reconstructions == 2
+        assert meter.replay_lines == 2
+        assert meter.promotions == 2
 
     def test_interleaved_trace_matches_classic(self):
         rng = random.Random(11)
@@ -172,6 +176,25 @@ class TestOracleEquivalence:
         assert result.report == [str(v) for v in reversed(final)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_held_blocks_keep_the_twin_clean(data):
+    # Longer traces than the test above, so held lists appear at h >= 4
+    # (p=2 and 3) and under a size estimate four times too low or too high.
+    n = data.draw(st.integers(min_value=200, max_value=600))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    pairs = random_trace(rng, n)
+    p = data.draw(st.integers(min_value=2, max_value=5))
+    algo = data.draw(st.sampled_from([TestRun, ProbingTestRun]))()
+    n_expect = data.draw(st.sampled_from([n // 4, n, 4 * n]))
+    result, twin = run_twin_testrun(pairs, p=p, n_expect=n_expect, k=algo.k,
+                                    deep=True, algo=algo)
+    pop_seq, final = replay_testrun(pairs)
+    assert result.report == [str(v) for v in reversed(final)]
+    twin.dispose()
+    assert twin.meter.live_bytes == 0
+
+
 class TestReconstruction:
     def test_single_entry_signature_reads_no_input(self):
         # {1} alone becomes the previous run at index 4 and is folded into a
@@ -190,6 +213,33 @@ class TestReconstruction:
         assert replays == []
         assert result.metrics.pops == 7
         assert [d.index for d in cs.first.explicit] == [8]
+
+    def test_held_block_replays_only_its_newest_sub_block(self):
+        # sizes (27, 9, 3): pushing 10 crosses a level-2 boundary, and the
+        # finished block [1..9] stays held as the signatures of its three
+        # deepest blocks; popping 10 and 9 promotes it and replays [7..9]
+        # alone, 2 lines, where replaying the block folded whole read 8
+        pairs = [(i, 0) for i in range(1, 11)] + [(11, 2)]
+        held = []
+
+        def on_element(runner, entry):
+            if entry.index == 10:
+                held.extend((s.first_index, s.last_index, s.count)
+                            for s in runner.stack.first.held[0])
+
+        result, runner, cs, meter = run_testrun(pairs, p=3, n_expect=81, drain=False,
+                                                on_element=on_element)
+        assert cs.geom.sizes == (27, 9, 3)
+        assert held == [(1, 3, 3), (4, 6, 3), (7, 9, 3)]
+        assert meter.replay_lines == 2
+        assert meter.reconstructions == 1
+        assert meter.promotions == 1
+        assert meter.max_replay_depth == 1
+        # 11 crosses the level-2 boundary again: [1..8] is held once more
+        assert [(s.first_index, s.last_index) for s in cs.first.held[0]] == [
+            (1, 3), (4, 6), (7, 8)
+        ]
+        cs.check_invariants()
 
     def test_full_block_replay_reads_its_range_once(self):
         # 48 pushes build three level-1 blocks of 16 (n=64, p=4); a deep pop
@@ -370,22 +420,22 @@ GOLDEN_INPUTS = {
     "pushonly": ("pushonly", 1.0, "testrun"),
 }
 GOLDEN = {
-    ("xmas", "2", "scan"): (184, 1400, 1432, 340, 1708),
-    ("xmas", "2", "drained"): (336, 3728, 1448, 340, 2048),
-    ("xmas", "log", "scan"): (126, 2437, 3312, 340, 1708),
-    ("xmas", "log", "drained"): (206, 3673, 3312, 340, 2048),
+    ("xmas", "2", "scan"): (203, 749, 2032, 340, 1708),
+    ("xmas", "2", "drained"): (343, 2297, 2032, 340, 2048),
+    ("xmas", "log", "scan"): (106, 973, 4032, 340, 1708),
+    ("xmas", "log", "drained"): (183, 2069, 4032, 340, 2048),
     ("xmas", "sqrt", "scan"): (14, 340, 5592, 340, 1708),
     ("xmas", "sqrt", "drained"): (40, 922, 5592, 340, 2048),
-    ("points", "2", "scan"): (9865, 42564, 1696, 12, 2036),
-    ("points", "2", "drained"): (10389, 45093, 1696, 12, 2048),
-    ("points", "log", "scan"): (358, 4758, 1656, 12, 2036),
-    ("points", "log", "drained"): (363, 4764, 1656, 12, 2048),
+    ("points", "2", "scan"): (2890, 5873, 1504, 12, 2036),
+    ("points", "2", "drained"): (3167, 6600, 1504, 12, 2048),
+    ("points", "log", "scan"): (228, 318, 1640, 12, 2036),
+    ("points", "log", "drained"): (233, 324, 1640, 12, 2048),
     ("points", "sqrt", "scan"): (38, 82, 1464, 12, 2036),
     ("points", "sqrt", "drained"): (41, 88, 1464, 12, 2048),
-    ("pushonly", "2", "scan"): (0, 0, 2376, 2048, 0),
-    ("pushonly", "2", "drained"): (510, 7682, 3208, 2048, 2048),
-    ("pushonly", "log", "scan"): (0, 0, 6312, 2048, 0),
-    ("pushonly", "log", "drained"): (168, 3330, 6440, 2048, 2048),
+    ("pushonly", "2", "scan"): (0, 0, 3336, 2048, 0),
+    ("pushonly", "2", "drained"): (680, 5348, 3688, 2048, 2048),
+    ("pushonly", "log", "scan"): (0, 0, 7512, 2048, 0),
+    ("pushonly", "log", "drained"): (169, 3230, 7512, 2048, 2048),
     ("pushonly", "sqrt", "scan"): (0, 0, 11496, 2048, 0),
     ("pushonly", "sqrt", "drained"): (43, 1892, 11496, 2048, 2048),
 }

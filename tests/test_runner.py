@@ -1,10 +1,13 @@
 import io
+import os
 import random
+import re
 
 import pytest
 
 from cstack.compressed import CompressedStack
-from cstack.core import ClassicStack, ContractError, Data
+from cstack.core import ClassicStack, ContractError, Data, DeterminismError
+from cstack.generators import GenSpec, generate
 from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun, UpperHull
 from cstack.runner import (
@@ -59,8 +62,10 @@ def test_malformed_line_reports_position():
 
 def test_malformed_line_during_replay_reports_position():
     # The forward scan reads the clean input; every cursor a replay opens
-    # (pos > 0) reads a copy whose line 5 no longer parses.
-    pairs = [(i, 0) for i in range(1, 17)] + [(17, 12)]
+    # (pos > 0) reads a copy whose line 5 no longer parses.  Pushing 17
+    # demotes the block [1..16], which folds its held level-2 block [1..8]
+    # into one signature; the pops then reach it and its replay reads 2..8.
+    pairs = [(i, 0) for i in range(1, 18)] + [(18, 12)]
     text = pairs_to_text(pairs)
     corrupted = text.replace("\n5,0\n", "\nx,0\n").encode()
 
@@ -73,8 +78,37 @@ def test_malformed_line_during_replay_reports_position():
             return LineCursor(handle)
 
     with pytest.raises(ParseError) as exc:
-        Runner(TestRun(), ChangedOnReplay.from_text(text), CompressedStack(17, 2, 1)).run()
+        Runner(TestRun(), ChangedOnReplay.from_text(text), CompressedStack(18, 2, 1)).run()
     assert exc.value.line_no == 5
+
+
+def test_changed_input_raises_instead_of_replaying_other_lines(tmp_path):
+    # Adding 1 to every value between the scan and the drain would make the
+    # drain's replays rebuild other entries than the scan pushed.  The mtime
+    # is set explicitly, so the check does not rest on the filesystem's
+    # timestamp granularity.
+    path = tmp_path / "xmas.txt"
+    generate(GenSpec("xmas", 4096, 0.0, 3, str(path)))
+    meter = MemoryMeter()
+    cs = CompressedStack(4096, 8, 1, meter=meter)
+    with LineSource.from_path(path) as source:
+        Runner(TestRun(), source, cs, drain_report=False).run()
+        st = os.stat(path)
+
+        def bump(line):
+            if line.startswith("#"):
+                return line
+            value, pops = line.split(",")
+            return f"{int(value) + 1},{pops}"
+
+        path.write_text("\n".join(map(bump, path.read_text().splitlines())) + "\n")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        with pytest.raises(DeterminismError, match=re.escape(str(path))):
+            while cs.len():
+                cs.pop()
+    cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
 
 
 def test_comment_and_blank_lines_skipped():
@@ -202,15 +236,18 @@ class TestChecker:
 
 
 def test_pushes_and_pops_counted_without_replay_inflation():
-    # the eighth pop replays the folded level-2 block [1..4]
+    # the level-2 block [1..4] is held as the signatures of [1, 2] and
+    # [3, 4], so the pops of 4 and of 2 each replay one line: two
+    # reconstructions and two lines, where replaying [1..4] whole took one
+    # reconstruction and three lines
     pairs = [(v, 0) for v in range(16, 8, -1)] + [(5, 8)]
     src = LineSource.from_text(pairs_to_text(pairs))
     meter = MemoryMeter()
     cs = CompressedStack(16, 2, 1, meter=meter)
     runner = Runner(TestRun(), src, cs, drain_report=False)
     result = runner.run()
-    assert runner.meter.reconstructions == 1
-    assert meter.replay_lines == 3
+    assert runner.meter.reconstructions == 2
+    assert meter.replay_lines == 2
     assert result.metrics.pushes == 9
     assert result.metrics.pops == 8  # the replayed pushes of 2..4 are not counted
 
