@@ -14,7 +14,7 @@ from pathlib import Path
 from .core import ClassicStack
 from .compressed import CompressedStack
 from .generators import GenSpec, generate
-from .metrics import MemoryMeter, RunMetrics, resolve_p
+from .metrics import RunMetrics, resolve_p
 from .problems import PROBLEMS
 from .runner import LineSource, Runner, RunResult
 
@@ -23,15 +23,13 @@ DESK_CAP = 2 ** 22
 CSV_HEADER = ["size", "p", "time_s", "peak_bytes", "reconstructions", "final_stack_len"]
 
 
-def build_stack(kind: str, *, n_expect: int, p: int | None = None, k: int = 1,
-                meter: MemoryMeter | None = None):
-    meter = meter or MemoryMeter()
+def build_stack(kind: str, *, n_expect: int, p: int | None = None, k: int = 1):
     if kind == "classic":
-        return ClassicStack(meter=meter)
+        return ClassicStack()
     if kind == "compressed":
         if p is None:
             raise ValueError("compressed stack needs a space parameter p")
-        return CompressedStack(n_expect, p, k, meter=meter)
+        return CompressedStack(n_expect, p, k)
     raise ValueError(f"unknown stack kind: {kind!r}")
 
 

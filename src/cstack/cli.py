@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_header_n(path: str) -> int | None:
     """Expected size recorded in a generated file's header, if present."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             first = fh.readline()
     except OSError:
         return None
@@ -43,8 +43,9 @@ def _read_header_n(path: str) -> int | None:
 
 
 def _count_data_lines(path: str) -> int:
+    # Undecodable bytes are left for the run, which names their line.
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             s = line.strip()
             if s and not s.startswith("#"):

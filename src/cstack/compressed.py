@@ -6,13 +6,13 @@ size shrinks by a factor p per level.  Every level keeps two blocks in some
 detail: the block being pushed to and the one before it, as Barba et al.'s
 compressed stack does.  At level 1 these are `first`, the push target, and
 `second`, its predecessor; older blocks survive as one signature each in
-`tail`.  Inside a component, finished sub-blocks are collapsed to signatures,
-except that the previous block at every middle level 2..h-1 is held as the
-list of its own sub-block signatures, and the previous block at the deepest
-level keeps its run explicit.  A held list or previous run is folded into one
-signature only when a third block of its level starts, or when its component
-is demoted to `second`.  So a pop that empties a block finds its predecessor
-one level finer instead of replaying all of it.
+`tail`.  Inside a component, every deeper level c keeps its finished blocks
+as one signature each, except the previous one, which is held as its parts:
+the signatures of its level-(c+1) sub-blocks, or at the deepest level its
+surviving entries, the previous run.  A held block is folded into one
+signature when a third block of its level starts; a component demoted to
+`second` also folds those of its middle levels.  So a pop that empties a
+block finds its predecessor one level finer instead of replaying all of it.
 
 A signature records the index range and number of its surviving entries, the
 full bottom entry (payload plus restart snapshot), and a small floor buffer:
@@ -83,30 +83,27 @@ class PartitionGeometry:
         return cls(n_expect, p, sizes, 1)
 
     def cross_level(self, u: int, v: int) -> int | None:
-        """Shallowest level whose block differs between indices u and v."""
+        """Shallowest level whose block differs between indices u and v.
+
+        Each size divides the one above it, so two indices in one block at
+        some level share their block at every level above.
+        """
         ru = u - self.origin
         rv = v - self.origin
         for lvl, s in enumerate(self.sizes, 1):
             if ru // s != rv // s:
                 return lvl
-            ru %= s
-            rv %= s
         return None
 
     def block_start(self, idx: int, level: int) -> int:
         """First index of the level-`level` block containing idx."""
-        rem = idx - self.origin
-        start = self.origin
-        for s in self.sizes[:level]:
-            start += rem // s * s
-            rem %= s
-        return start
+        s = self.sizes[level - 1]
+        return self.origin + (idx - self.origin) // s * s
 
     def sub_geometry(self, level: int, start: int) -> "PartitionGeometry":
         """Layout for the inside of one level-`level` block starting at `start`."""
-        rest = self.sizes[level:]
-        if not rest:
-            rest = (self.sizes[-1],)
+        # a level-h block is one block of its own deepest size
+        rest = self.sizes[level:] or self.sizes[-1:]
         return PartitionGeometry(
             last_expected=start + self.sizes[level - 1] - 1,
             p=self.p,
@@ -124,7 +121,7 @@ class BlockSignature:
     holds copies of up to k-1 entries directly below `bottom`; they are
     readable during a replay of this block but never poppable.  The block's
     level is where the signature sits: level 1 in a stack's `tail`, level lv
-    in a component's finished[lv-2].
+    in a component's done[lv] or among the parts of its held[lv-1].
     """
 
     first_index: int
@@ -134,54 +131,39 @@ class BlockSignature:
     floor: tuple[Data, ...]
 
 
+class Run(list):
+    """Survivors of one deepest block, bottom to top, and their floor.
+
+    `floor` holds copies of up to k-1 entries directly below the run's
+    bottom.  The class adds no __init__, so a run costs what a list costs to
+    build; one that never captured a floor reads the empty default.
+    """
+
+    floor: tuple[Data, ...] = ()
+
+
 class Component:
     """Detailed representation of one level-1 block (or sub-block in replays).
 
-    Stack order, bottom to top: finished[2] signatures, held[2], finished[3],
-    held[3], ..., held[h-1], finished[h], then the previous run, then the
-    explicit run.  finished[lv] (stored at finished index lv-2) are the
-    signatures of finished level-lv blocks inside the active level-(lv-1)
-    block.  held[c] (stored at held index c-2, for the middle levels
-    2..h-1) is the most recent finished level-c block of that same parent,
-    kept as the signatures of its level-(c+1) sub-blocks, so at most p of
-    them.  The explicit run holds the survivors of the deepest block last
-    pushed to; the previous run holds those of an earlier deepest block of
-    the same level-(h-1) block, which is the deepest level's held block.
-    Each run carries its own floor.  With h = 1 the deepest blocks are
-    level-1 blocks, whose pair is the stack's `first` and `second`, so
-    `previous` stays empty.
+    `lists` holds its groups in stack order, bottom to top: done[2],
+    held[2], done[3], held[3], ..., done[h], held[h], then the explicit run,
+    so done[c] sits at index 2c-4 and held[c] at 2c-3.  done[c] holds the
+    signatures of finished level-c blocks inside the active level-(c-1)
+    block.  held[c] is the newest finished level-c block of that same
+    parent, kept as its parts: at most p signatures of its level-(c+1)
+    sub-blocks, or for c = h a run of its entries, the previous run.  The
+    parts of group i are at level (i+1)//2 + 2, entries counting as level
+    h+1.  The explicit run holds the survivors of the deepest block last
+    pushed to.  With h = 1 the run is the only group: the deepest blocks are
+    level-1 blocks, whose pair is the stack's `first` and `second`.
+    `ref_index` is an index in the deepest block the run belongs to.
     """
 
-    __slots__ = (
-        "ref_index", "finished", "held", "previous", "previous_floor", "explicit",
-        "explicit_floor",
-    )
+    __slots__ = ("ref_index", "lists")
 
     def __init__(self, ref_index: int, h: int):
         self.ref_index = ref_index
-        self.finished: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 1))]
-        self.held: list[list[BlockSignature]] = [[] for _ in range(max(0, h - 2))]
-        self.previous: list[Data] = []
-        self.previous_floor: tuple[Data, ...] = ()
-        self.explicit: list[Data] = []
-        self.explicit_floor: tuple[Data, ...] = ()
-
-    def has_survivors(self) -> bool:
-        # A drain calls this on every pop once `first` is empty; below h = 3
-        # `held` is an empty list, so testing it before any() costs nothing.
-        return bool(
-            self.explicit or self.previous or any(self.finished) or self.held and any(self.held)
-        )
-
-    def runs(self) -> tuple[tuple[list[Data], tuple[Data, ...]], ...]:
-        """(entries, floor) of the previous and the explicit run, bottom to top."""
-        return (self.previous, self.previous_floor), (self.explicit, self.explicit_floor)
-
-    def clear_runs(self) -> None:
-        self.previous = []
-        self.previous_floor = ()
-        self.explicit = []
-        self.explicit_floor = ()
+        self.lists: list[list] = [[] for _ in range(2 * h - 2)] + [Run()]
 
 
 class CompressedStack(StackInterface):
@@ -269,17 +251,16 @@ class CompressedStack(StackInterface):
             self.degraded = True
         comp = self.first
         # Block sizes form a divisibility chain, so two indices in the same
-        # deepest block share their block at every level.
+        # deepest block share their block at every level; that is also why
+        # ref_index need not follow every push into its run.
         s = g.sizes[-1]
         if (
             comp is None
-            or not comp.explicit
+            or not (run := comp.lists[-1])
             or (index - g.origin) // s != (comp.ref_index - g.origin) // s
         ):
-            comp = self._start_run(index)
-        else:
-            comp.ref_index = index
-        comp.explicit.append(d)
+            run = self._start_run(index)
+        run.append(d)
         meter = self.meter
         meter.alloc_data()
         meter.alloc_slot()
@@ -298,18 +279,18 @@ class CompressedStack(StackInterface):
                 f"replay tried to pop its range bottom (index {self.guard_index})"
             )
         comp = self.first
-        if comp is None or not comp.explicit:
-            comp = self._top_run()
-        d = comp.explicit.pop()
+        if comp is None or not (run := comp.lists[-1]):
+            run = self._top_run()
+        d = run.pop()
         meter = self.meter
         meter.free_data()
         meter.free_slot()
-        if not comp.explicit:
-            n = len(comp.explicit_floor)
+        if not run:
+            n = len(run.floor)
             if n:
                 meter.free_data(n)
                 meter.free_slot(n)
-                comp.explicit_floor = ()
+                run.floor = ()
         self.live -= 1
         if self.buffer:
             self.buffer.pop()
@@ -326,8 +307,7 @@ class CompressedStack(StackInterface):
             if deficit <= len(self.floor):
                 return self.floor[-deficit]
             return None
-        vals = self._peek_top(j)
-        self.buffer = list(reversed(vals))
+        self.buffer = self._peek_top(j)
         return self.buffer[-j]
 
     def dispose(self) -> None:
@@ -346,16 +326,16 @@ class CompressedStack(StackInterface):
 
     # -- folding ------------------------------------------------------------
 
-    def _start_run(self, index: int) -> Component:
-        """Fold what a push at index finishes; return the component whose
-        explicit run, now empty and with its floor captured, takes the push.
+    def _start_run(self, index: int) -> Run:
+        """Fold what a push at index finishes; return the run, now empty and
+        with its floor captured, that takes the push.
 
         Crossing into a new level-1 block folds the old `second` into the
-        tail and demotes `first` to `second`, folding each of its held lists
-        into one signature.  Crossing a boundary at level c > 1 keeps the
-        finished level-c block as the held block of its level, which
-        displaces (and folds) the one held before: as a list of signatures
-        at a middle level, as the previous run at the deepest level.
+        tail and demotes `first` to `second`, folding the held block of
+        each of its middle levels into one signature; its previous run
+        stays.  Crossing a boundary at level c > 1 keeps the finished
+        level-c block, if anything of it survives, as held[c], which
+        displaces (and folds) the block held there before.
         """
         g = self.geom
         comp = self.first
@@ -367,112 +347,83 @@ class CompressedStack(StackInterface):
                 # The new run's floor is copied from the buffer, which pops
                 # may have drained.  Refilling it can replay into comp, so
                 # it comes before any fold.
-                self.buffer = list(reversed(self._peek_top(depth)))
+                self.buffer = self._peek_top(depth)
             cross = g.cross_level(comp.ref_index, index)
+            lists = comp.lists
             if cross == 1:
-                sig = self._collapse(self.second, 1) if self.second is not None else None
+                sig = self._merge(self.second.lists) if self.second is not None else None
                 if sig is not None:
                     self.tail.append(sig)
-                for finished, held in zip(comp.finished, comp.held):
-                    if held:
-                        finished.append(self._merge(held))
-                        held.clear()
+                for i in range(1, len(lists) - 2, 2):
+                    if lists[i]:
+                        lists[i - 1].append(self._merge([lists[i]]))
+                        lists[i] = []
                 self.second = comp
                 comp = self.first = Component(index, g.h)
-            elif cross == g.h:
-                if comp.explicit:
-                    if comp.previous:
-                        comp.finished[-1].append(
-                            self._merge((), [(comp.previous, comp.previous_floor)])
-                        )
-                    comp.previous = comp.explicit
-                    comp.previous_floor = comp.explicit_floor
-                    comp.explicit = []
-                    comp.explicit_floor = ()
             elif cross is not None:
-                sigs = self._split(comp, cross)
-                if sigs:
-                    held = comp.held[cross - 2]
-                    if held:
-                        comp.finished[cross - 2].append(self._merge(held))
-                    comp.held[cross - 2] = sigs
+                parts = self._split(comp, cross)
+                if parts:
+                    i = 2 * cross - 3
+                    if lists[i]:
+                        lists[i - 1].append(self._merge([lists[i]]))
+                    lists[i] = parts
             comp.ref_index = index
-        # A refill that rebuilt comp's explicit run left the top entry there,
-        # in a deepest block before index's, so the crossing moved it away.
-        assert not comp.explicit
-        floor = comp.explicit_floor = self._floor_window()
+        run = comp.lists[-1]
+        # A refill that rebuilt the explicit run left the top entry there, in
+        # a deepest block before index's, so the crossing moved it away.
+        assert not run
+        floor = run.floor = self._floor_window()
         if floor:
             self.meter.alloc_data(len(floor))
             self.meter.alloc_slot(len(floor))
-        return comp
+        return run
 
-    def _split(self, comp: Component, c: int) -> list[BlockSignature]:
-        """Signatures of the level-(c+1) sub-blocks of comp's active level-c
-        block, bottom to top, for 1 <= c < h.  Nothing below level c stays
-        in comp: a held list or run inside the block folds into one of them.
+    def _split(self, comp: Component, c: int) -> list:
+        """The level-(c+1) parts of comp's active level-c block, bottom to
+        top, for 1 <= c <= h: at c = h its run, otherwise done[c+1], then
+        held[c+1] and everything above it folded into one signature each.
+        Nothing of the block stays in comp.
         """
-        if c == len(comp.finished):
-            # c = h-1: the sub-blocks are level-h blocks, the runs among them
-            sigs = comp.finished[-1]
-            sigs += [self._merge((), [run]) for run in comp.runs() if run[0]]
-            comp.clear_runs()
-        else:
-            sigs = comp.finished[c - 1]
-            if comp.held[c - 1]:
-                sigs.append(self._merge(comp.held[c - 1]))
-                comp.held[c - 1] = []
-            active = self._collapse(comp, c + 1)
-            if active is not None:
-                sigs.append(active)
-        comp.finished[c - 1] = []
-        return sigs
+        lists = comp.lists
+        i = 2 * c - 2
+        parts = lists[i]
+        if i < len(lists) - 1:
+            for groups in (lists[i + 1 : i + 2], lists[i + 2 :]):
+                sig = self._merge(groups)
+                if sig is not None:
+                    parts.append(sig)
+        lists[i:] = [[] for _ in range(len(lists) - 1 - i)] + [Run()]
+        return parts
 
-    def _collapse(self, comp: Component, c: int) -> BlockSignature | None:
-        """Fold everything below level c in comp, its active level-c block,
-        into one signature; None when nothing survives there."""
-        sigs: list[BlockSignature] = []
-        for i in range(c - 1, len(comp.finished)):
-            sigs += comp.finished[i]
-            comp.finished[i] = []
-            if i < len(comp.held):
-                sigs += comp.held[i]
-                comp.held[i] = []
-        runs = [run for run in comp.runs() if run[0]]
-        comp.clear_runs()
-        return self._merge(sigs, runs)
-
-    def _merge(self, sigs, runs=()) -> BlockSignature | None:
-        """One signature for sigs then runs, the surviving parts of one block
-        in stack order; None when there are none.
+    def _merge(self, groups) -> BlockSignature | None:
+        """One signature for the parts of groups, the surviving parts of one
+        block in stack order, signature lists and runs alike; None when
+        there are none.
 
         Frees every record the fold drops before allocating the signature;
         the bottom part's bottom and floor records move into it unchanged.
         """
-        if not sigs and not runs:
+        groups = [group for group in groups if group]
+        if not groups:
             return None
-        dropped = sum(len(run) + len(floor) for run, floor in runs)
-        if sigs:
-            first_index = sigs[0].first_index
-            bottom = sigs[0].bottom
-            floor = sigs[0].floor
-            self.meter.free_sig()
-            for sig in sigs[1:]:
-                self._free_sig(sig)
+        sigs, entries = self._counts(groups)
+        count = sum(
+            len(group) if type(group) is Run else sum(sig.count for sig in group)
+            for group in groups
+        )
+        low, high = groups[0], groups[-1]
+        if type(low) is Run:
+            bottom, floor = low[0], low.floor
         else:
-            run, floor = runs[0]
-            bottom = run[0]
-            first_index = bottom.index
-            dropped -= 1 + len(floor)
-        last_index = runs[-1][0][-1].index if runs else sigs[-1].last_index
-        count = sum(sig.count for sig in sigs) + sum(len(run) for run, _ in runs)
-        if dropped:
-            self._free_entries(dropped)
+            bottom, floor = low[0].bottom, low[0].floor
+        last_index = high[-1].index if type(high) is Run else high[-1].last_index
+        if sigs:
+            self.meter.free_sig(sigs)
+        entries -= 1 + len(floor)
+        if entries:
+            self._free_entries(entries)
         self.meter.alloc_sig()
-        return BlockSignature(first_index, last_index, count, bottom, floor)
-
-    def _free_sig(self, sig: BlockSignature) -> None:
-        self.meter.free_sig()
-        self._free_entries(1 + len(sig.floor))
+        return BlockSignature(bottom.index, last_index, count, bottom, floor)
 
     def _floor_window(self) -> tuple[Data, ...]:
         """Up to k-1 entries directly below the next push, bottom to top.
@@ -492,43 +443,38 @@ class CompressedStack(StackInterface):
 
     # -- reconstruction -------------------------------------------------------
 
-    def _top_run(self) -> Component:
-        """The component holding the top entry, with its explicit run rebuilt.
+    def _top_run(self) -> Run:
+        """The run holding the top entry, rebuilt in detail.
 
-        An empty explicit run means the top sits in the previous run, which
-        is promoted without a replay, or else in the newest signature of the
-        first non-empty list on a walk down the stack.  A held list met on
-        that walk is promoted first: the active block of its level is empty,
-        so the held block becomes the active one, and only its newest
-        sub-block is expanded.
+        The top sits in the topmost non-empty group of the first component
+        with survivors, or else in the newest tail signature.  A held group
+        found there is promoted into the group above it, since the active
+        block of its level is empty: a previous run becomes the explicit run
+        without a replay, and of a held list only the newest sub-block is
+        expanded.  Otherwise the group's newest signature is expanded.
         """
-        if self.first is not None and self.first.has_survivors():
+        if self.first is not None and any(self.first.lists):
             comp = self.first
-        elif self.second is not None and self.second.has_survivors():
+        elif self.second is not None and any(self.second.lists):
             comp = self.second
         else:
             sig = self.tail.pop()
             comp = self.second = Component(sig.last_index, self.geom.h)
             self._expand_into(comp, sig, 1)
-        if not comp.explicit:
-            if comp.previous:
-                comp.explicit = comp.previous
-                comp.explicit_floor = comp.previous_floor
-                comp.previous = []
-                comp.previous_floor = ()
-                comp.ref_index = comp.explicit[-1].index
+        lists = comp.lists
+        if not lists[-1]:
+            i = len(lists) - 2
+            while not lists[i]:
+                i -= 1
+            if i % 2:
+                lists[i + 1], lists[i] = lists[i], []
                 self.meter.promotions += 1
+                i += 1
+            if i == len(lists) - 1:
+                comp.ref_index = lists[i][-1].index
             else:
-                finished, held = comp.finished, comp.held
-                # finished[i] holds level i+2, above held[i-1] (level i+1)
-                for i in range(len(finished) - 1, -1, -1):
-                    if not finished[i] and i and held[i - 1]:
-                        finished[i], held[i - 1] = held[i - 1], []
-                        self.meter.promotions += 1
-                    if finished[i]:
-                        self._expand_into(comp, finished[i].pop(), i + 2)
-                        break
-        return comp
+                self._expand_into(comp, lists[i].pop(), i // 2 + 2)
+        return lists[-1]
 
     def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
         """Rebuild sig, the signature of a level-lv block, in detail inside comp.
@@ -537,21 +483,20 @@ class CompressedStack(StackInterface):
         bottom and its floor become comp's explicit run.  Otherwise the
         replay runs on a scratch stack restricted to the signature's block,
         where level i is level lv + i here, and must rebuild exactly the
-        signature's survivors, ending on its top entry; the scratch's lists
-        and runs then move into comp below level lv, its `second` as the
-        held block of level lv+1.  The scratch is released whether or not
-        the replay succeeds; on failure sig goes back where it was popped
-        from, so the stack stays whole and a retry fails the same way.  Both
-        paths count as one reconstruction.
+        signature's survivors, ending on its top entry; the scratch's groups
+        then replace comp's from done[lv+1] up: its tail, its `second` split
+        into sub-blocks as held[lv+1], then the groups of its `first`.  The
+        scratch is released whether or not the replay succeeds; on failure
+        sig goes back where it was popped from, so the stack stays whole and
+        a retry fails the same way.  Both paths count as one reconstruction.
         """
-        assert not comp.explicit and not comp.previous
-        assert not any(comp.finished[lv - 1 :]) and not any(comp.held[max(lv - 2, 0) :])
+        assert not any(comp.lists[max(2 * lv - 3, 0) :])
         meter = self.meter
         meter.reconstructions += 1
         if sig.first_index == sig.last_index:
             meter.free_sig()
-            comp.explicit = [sig.bottom]
-            comp.explicit_floor = sig.floor
+            run = comp.lists[-1] = Run((sig.bottom,))
+            run.floor = sig.floor
             comp.ref_index = sig.last_index
             return
         g = self.geom
@@ -570,108 +515,80 @@ class CompressedStack(StackInterface):
             if self.replay is None:
                 raise StackError("no replay delegate bound; cannot reconstruct")
             self.replay(scratch, sig.bottom, sig.last_index)
-            top = scratch.first.explicit
+            top = scratch.first.lists[-1]
             if scratch.live != sig.count or not top or top[-1].index != sig.last_index:
                 raise DeterminismError(
                     f"replay of level-{lv} block [{sig.first_index}..{sig.last_index}] "
                     f"rebuilt {scratch.live} entries, not the {sig.count} the run left, "
                     f"or did not end on index {sig.last_index}"
                 )
-            second = scratch.second
-            if second is not None and not second.has_survivors():
-                second = None
-            if lv == g.h and second is not None:
+            # A level-h block is one level-1 block of the scratch.
+            if lv == g.h and (scratch.tail or scratch.second is not None):
                 raise StackError("level-h replay produced sub-block signatures")
         except BaseException:
-            (self.tail if lv == 1 else comp.finished[lv - 2]).append(sig)
+            (self.tail if lv == 1 else comp.lists[2 * lv - 4]).append(sig)
             raise
         else:
-            inner = scratch.first
-            previous, previous_floor = inner.previous, inner.previous_floor
-            held: list[BlockSignature] = []
-            if second is not None:
-                if scratch.geom.h == 1:
-                    # The scratch's level-1 blocks are level-h blocks here,
-                    # so its second component is the previous run.
-                    previous, previous_floor = second.explicit, second.explicit_floor
-                else:
-                    held = scratch._split(second, 1)
+            groups = scratch.first.lists
             if lv < g.h:
-                comp.finished[lv - 1] = scratch.tail
-                comp.finished[lv:] = inner.finished
-            if lv < g.h - 1:
-                comp.held[lv - 1] = held
-                comp.held[lv:] = inner.held
-            comp.previous = previous
-            comp.previous_floor = previous_floor
-            comp.explicit = inner.explicit
-            comp.explicit_floor = inner.explicit_floor
+                second = scratch.second
+                held = scratch._split(second, 1) if second is not None else []
+                groups = [scratch.tail, held] + groups
+            comp.lists[2 * lv - 2 :] = groups
             comp.ref_index = sig.last_index
             scratch.tail = []
             scratch.first = scratch.second = None
-            self._free_sig(sig)
+            meter.free_sig()
+            self._free_entries(1 + len(sig.floor))
         finally:
             meter.replay_depth -= 1
             scratch.dispose()
 
     def _peek_top(self, j: int) -> list[Data]:
-        """Top j entries, top first, materializing detail as needed."""
-        comp = self._top_run()
-        out: list[Data] = []
-        for d in reversed(comp.explicit):
-            out.append(d)
-            if len(out) == j:
-                return out
-        for d in reversed(comp.explicit_floor):
-            out.append(d)
-            if len(out) == j:
-                return out
-        raise StackError(
-            f"top({j}) not answerable: floor captured only "
-            f"{len(comp.explicit_floor)} entries (algorithm probed deeper than it pushed)"
-        )
+        """Top j entries, bottom to top, materializing detail as needed."""
+        run = self._top_run()
+        out = run[-j:]
+        if len(out) < j:
+            out = list(run.floor[len(out) - j :]) + out
+            if len(out) < j:
+                raise StackError(
+                    f"top({j}) not answerable: floor captured only "
+                    f"{len(run.floor)} entries (algorithm probed deeper than it pushed)"
+                )
+        return out
 
     # -- introspection (checker and tests) ---------------------------------
 
     def _walk(self):
-        """Every signature list and run below the buffer, bottom to top.
-
-        Yields ("sigs", signatures, c), c the level of the held block the
-        list splits or 0, and ("run", entries, floor).  The tail comes first.
-        """
-        yield "sigs", self.tail, 0
+        """Every group below the buffer, bottom to top: the tail, then the
+        groups of `second` and of `first`."""
+        yield self.tail
         for comp in (self.second, self.first):
-            if comp is None:
-                continue
-            for i, sigs in enumerate(comp.finished):
-                yield "sigs", sigs, 0
-                if i < len(comp.held):
-                    yield "sigs", comp.held[i], i + 2
-            for run, floor in comp.runs():
-                yield "run", run, floor
+            if comp is not None:
+                yield from comp.lists
 
     @staticmethod
-    def _counts(walk) -> tuple[int, int]:
-        """(signatures, entry copies) in the walked lists and runs."""
+    def _counts(groups) -> tuple[int, int]:
+        """(signatures, entry copies) in the walked groups."""
         sigs = entries = 0
-        for kind, items, extra in walk:
-            if kind == "run":
-                entries += len(items) + len(extra)
+        for group in groups:
+            if type(group) is Run:
+                entries += len(group) + len(group.floor)
             else:
-                sigs += len(items)
-                entries += sum(1 + len(sig.floor) for sig in items)
+                sigs += len(group)
+                entries += sum(1 + len(sig.floor) for sig in group)
         return sigs, entries
 
     def iter_resident(self):
         """Yield (kind, data) for every resident entry copy, bottom to top."""
-        for kind, items, extra in self._walk():
-            if kind == "run":
-                for d in extra:
+        for group in self._walk():
+            if type(group) is Run:
+                for d in group.floor:
                     yield "floor", d
-                for d in items:
+                for d in group:
                     yield "explicit", d
                 continue
-            for sig in items:
+            for sig in group:
                 for d in sig.floor:
                     yield "floor", d
                 yield "bottom", sig.bottom
@@ -693,10 +610,9 @@ class CompressedStack(StackInterface):
 
         With f = k-1 floor entries per run or signature, each of the two
         components holds:
-        - two runs (previous and explicit; only one at h = 1, where
-          `previous` stays empty) of at most one deepest block, p entries,
-          plus a floor of f apiece;
-        - at most p-1 finished signatures on each of levels 2..h, each a
+        - two runs (held[h] and the explicit run; only the latter at h = 1)
+          of at most one deepest block, p entries, plus a floor of f apiece;
+        - at most p-1 finished signatures in each done[c], c = 2..h, each a
           bottom plus f floor entries;
         - a held list on each of the h-2 middle levels 2..h-1, at most p
           signatures of 1+f entries each.
@@ -728,26 +644,38 @@ class CompressedStack(StackInterface):
         """Assert the structural invariants; used by tests and the checker."""
         self.check_space_cap()
         g = self.geom
+        for comp in (self.second, self.first):
+            if comp is None:
+                continue
+            # 2h-2 groups then the explicit run; entries sit only in runs,
+            # which only held[h] and the top may be
+            lists = comp.lists
+            assert len(lists) == 2 * g.h - 1 and type(lists[-1]) is Run
+            for i, group in enumerate(lists):
+                if not group:
+                    continue
+                assert (type(group) is Run) == (i >= len(lists) - 2)
+                if i % 2 and type(group) is not Run:
+                    # held[c]: at most p sub-blocks, all inside one level-c block
+                    c = (i + 3) // 2
+                    assert len(group) <= g.p
+                    assert g.block_start(group[0].first_index, c) == g.block_start(
+                        group[-1].last_index, c
+                    )
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
         survivors = 0
-        for kind, items, extra in self._walk():
-            if kind == "run":
-                assert len(extra) <= floor_cap
-                if items:
-                    assert g.block_start(items[0].index, g.h) == g.block_start(items[-1].index, g.h)
-                for d in items:
+        for group in self._walk():
+            if type(group) is Run:
+                assert len(group.floor) <= floor_cap
+                if group:
+                    assert g.block_start(group[0].index, g.h) == g.block_start(group[-1].index, g.h)
+                for d in group:
                     assert prev < d.index
                     prev = d.index
-                survivors += len(items)
+                survivors += len(group)
                 continue
-            if extra and items:
-                # a held level-c block: at most p sub-blocks, all inside it
-                assert len(items) <= g.p
-                assert g.block_start(items[0].first_index, extra) == g.block_start(
-                    items[-1].last_index, extra
-                )
-            for sig in items:
+            for sig in group:
                 assert prev < sig.first_index <= sig.last_index
                 assert len(sig.floor) <= floor_cap
                 prev = sig.last_index

@@ -131,14 +131,6 @@ def xmas_peak_height(n: int) -> int:
     return max(h for _, _, h in xmas_height_steps(n))
 
 
-def xmas_final_height(n: int) -> int:
-    """Stack height once element n's own completion drops have applied."""
-    height = 0
-    for _, _, h in xmas_height_steps(n):
-        height = h
-    return height
-
-
 def _gen_points(spec: GenSpec) -> str:
     """n uniform points in the unit square, sorted by strictly increasing x."""
     if spec.n < 2:

@@ -300,7 +300,11 @@ class Runner:
         view = TopAccess(stack, algo.k)
         pushes = pops = 0
         while index != last_index:
-            item = read()
+            try:
+                item = read()
+            except UnicodeDecodeError as exc:
+                line = exc.object.decode("utf-8", "backslashreplace").strip()
+                raise ParseError(index + 1, line, "not valid UTF-8") from exc
             if item is None:
                 if last_index is None:
                     break

@@ -90,6 +90,16 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_undecodable_line_is_reported_by_line(tmp_path, capsys):
+    # sizing the input reads it as text too, and must leave the bad line to
+    # the run, which names it like any other malformed line
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"5,0\n7,\xff0\n")
+    code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--input", str(path))
+    assert code == 2
+    assert "error: line 2: not valid UTF-8 in '7,\\\\xff0'" in err
+
+
 def test_compare_detects_divergence_exit_code(tmp_path, capsys, monkeypatch):
     # sabotage the checker to force a mismatch path
     import cstack.cli as cli_mod

@@ -31,26 +31,27 @@ class TestDirectPushes:
     def test_first_push(self):
         cs = CompressedStack(16, 2, k=1)
         cs.push(entry(1))
-        assert [d.index for d in cs.first.explicit] == [1]
+        assert [d.index for d in cs.first.lists[-1]] == [1]  # the explicit run
         assert cs.tail == []
         assert cs.len() == 1
 
     def test_fold_on_deepest_boundary(self):
         cs = CompressedStack(27, 3, k=1)  # sizes (9, 3)
+        done, held, run = range(3)  # group indices at h = 2
         for i in (1, 2, 3):
             cs.push(entry(i))
-        assert [d.index for d in cs.first.explicit] == [1, 2, 3]
+        assert [d.index for d in cs.first.lists[run]] == [1, 2, 3]
         # the first deepest crossing keeps the finished run explicit
         cs.push(entry(4))
-        assert [d.index for d in cs.first.previous] == [1, 2, 3]
-        assert [d.index for d in cs.first.explicit] == [4]
-        assert cs.first.finished[0] == []
+        assert [d.index for d in cs.first.lists[held]] == [1, 2, 3]
+        assert [d.index for d in cs.first.lists[run]] == [4]
+        assert cs.first.lists[done] == []
         # the second folds the run it displaces, and only that one
         for i in (5, 6, 7):
             cs.push(entry(i))
-        assert [d.index for d in cs.first.previous] == [4, 5, 6]
-        assert [d.index for d in cs.first.explicit] == [7]
-        sigs = cs.first.finished[0]  # finished level-2 blocks
+        assert [d.index for d in cs.first.lists[held]] == [4, 5, 6]
+        assert [d.index for d in cs.first.lists[run]] == [7]
+        sigs = cs.first.lists[done]  # finished level-2 blocks
         assert [(s.first_index, s.last_index, s.count) for s in sigs] == [(1, 3, 3)]
         cs.check_invariants()
 
@@ -59,9 +60,9 @@ class TestDirectPushes:
         for i in (1, 2, 3):
             cs.push(entry(i))
         cs.push(entry(9))
-        assert [d.index for d in cs.first.explicit] == [9]
-        assert cs.second is not None and cs.second.has_survivors()
-        assert cs.second.explicit[-1].index == 3
+        assert [d.index for d in cs.first.lists[-1]] == [9]
+        assert cs.second is not None and any(cs.second.lists)
+        assert cs.second.lists[-1][-1].index == 3
         assert cs.tail == []
         cs.check_invariants()
 
@@ -212,7 +213,7 @@ class TestReconstruction:
         assert meter.replay_lines == 0
         assert replays == []
         assert result.metrics.pops == 7
-        assert [d.index for d in cs.first.explicit] == [8]
+        assert [d.index for d in cs.first.lists[-1]] == [8]
 
     def test_held_block_replays_only_its_newest_sub_block(self):
         # sizes (27, 9, 3): pushing 10 crosses a level-2 boundary, and the
@@ -225,7 +226,7 @@ class TestReconstruction:
         def on_element(runner, entry):
             if entry.index == 10:
                 held.extend((s.first_index, s.last_index, s.count)
-                            for s in runner.stack.first.held[0])
+                            for s in runner.stack.first.lists[1])  # held[2]
 
         result, runner, cs, meter = run_testrun(pairs, p=3, n_expect=81, drain=False,
                                                 on_element=on_element)
@@ -236,7 +237,7 @@ class TestReconstruction:
         assert meter.promotions == 1
         assert meter.max_replay_depth == 1
         # 11 crosses the level-2 boundary again: [1..8] is held once more
-        assert [(s.first_index, s.last_index) for s in cs.first.held[0]] == [
+        assert [(s.first_index, s.last_index) for s in cs.first.lists[1]] == [
             (1, 3), (4, 6), (7, 8)
         ]
         cs.check_invariants()
@@ -312,22 +313,59 @@ class TestReconstruction:
     def test_impure_condition_raises_instead_of_corrupting(self, seed):
         # a pop condition that flips its answer once in 5,000 calls makes a
         # replay rebuild another number of survivors than the run left
-        class Misfiring(TestRun):
-            def __init__(self):
-                self.rng = random.Random(seed)
-
-            def pop_condition(self, payload, ctx, top):
-                want = super().pop_condition(payload, ctx, top)
-                return want != (self.rng.random() < 1 / 5000)
-
         meter = MemoryMeter()
         cs = CompressedStack(4096, 8, k=1, meter=meter)
         text = generate(GenSpec("xmas", 4096, 0.0, 0))
         with pytest.raises(StackError, match=r"block \[\d+\.\.\d+\]"):
-            Runner(Misfiring(), LineSource.from_text(text), cs).run()
+            Runner(Misfiring(1, 1 / 5000, seed), LineSource.from_text(text), cs).run()
         cs.check_invariants()
         cs.dispose()
         assert meter.live_bytes == 0
+
+
+class Misfiring(TestRun):
+    """A TestRun whose pop condition flips its answer at `rate`, so replays
+    can decide otherwise than the run did; at k=2 every push probes top(2)."""
+
+    def __init__(self, k, rate, seed):
+        self.k = k
+        self.rate = rate
+        self.rng = random.Random(seed)
+
+    def pop_condition(self, payload, ctx, top):
+        want = super().pop_condition(payload, ctx, top)
+        return want != (self.rng.random() < self.rate)
+
+    def push_condition(self, payload, ctx, top):
+        if self.k == 2:
+            top.top(2)
+        return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_impure_conditions_raise_a_stack_error_or_complete(data):
+    # A replay that diverges must raise a named StackError, never anything
+    # else, and leave a whole stack that frees every byte.  The failure path
+    # puts the signature back where it was popped from, at any level.
+    n = data.draw(st.integers(min_value=200, max_value=600))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    if data.draw(st.booleans()):
+        text = pairs_to_text(random_trace(random.Random(seed), n))
+    else:
+        text = generate(GenSpec("xmas", n, 0.0, seed))
+    p = data.draw(st.integers(min_value=2, max_value=5))
+    k = data.draw(st.sampled_from([1, 2]))
+    n_expect = data.draw(st.sampled_from([n // 4, n, 4 * n]))
+    rate = data.draw(st.sampled_from([1 / 50, 1 / 500]))
+    meter = MemoryMeter()
+    cs = CompressedStack(n_expect, p, k, meter=meter)
+    try:
+        Runner(Misfiring(k, rate, seed), LineSource.from_text(text), cs).run()
+    except StackError:
+        cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
 
 
 class TestSpaceCap:

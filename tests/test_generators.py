@@ -5,7 +5,6 @@ from cstack.generators import (
     GenSpec,
     cycle_pops_after,
     generate,
-    xmas_final_height,
     xmas_height_steps,
     xmas_peak_height,
 )

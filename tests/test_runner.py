@@ -60,6 +60,13 @@ def test_malformed_line_reports_position():
     assert exc.value.line_no == 2
 
 
+def test_undecodable_line_reports_position():
+    src = LineSource(data=b"5,0\n# a comment\n7,\xff0\n9,0\n")
+    with pytest.raises(ParseError, match=r"line 2: not valid UTF-8") as exc:
+        Runner(TestRun(), src, ClassicStack()).run()
+    assert exc.value.line_no == 2
+
+
 def test_malformed_line_during_replay_reports_position():
     # The forward scan reads the clean input; every cursor a replay opens
     # (pos > 0) reads a copy whose line 5 no longer parses.  Pushing 17
@@ -209,7 +216,7 @@ class TestChecker:
                     stack = self.twin.compressed
                     bad = Data(entry.index, type(entry.payload)(999999, 0),
                                entry.ctx_snapshot, entry.stream_pos)
-                    stack.first.explicit[-1] = bad
+                    stack.first.lists[-1][-1] = bad
 
         pairs = [(i, 0) for i in range(1, 17)]
         algo = Sabotage()
