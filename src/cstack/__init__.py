@@ -18,7 +18,7 @@ from .core import (
     StackError,
     StackInterface,
 )
-from .compressed import BlockSignature, Component, CompressedStack, PartitionGeometry
+from .compressed import BlockSignature, CompressedStack, PartitionGeometry
 from .generators import GenSpec, generate
 from .metrics import MemoryMeter, RunMetrics, resolve_p
 from .problems import Point2D, TestRun, UpperHull, orientation
@@ -38,7 +38,6 @@ __all__ = [
     "AccountingError",
     "BlockSignature",
     "ClassicStack",
-    "Component",
     "CompressedStack",
     "ContractError",
     "Data",

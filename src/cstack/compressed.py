@@ -5,14 +5,15 @@ so on for h levels; a level-1 block holds roughly n/p positions and the block
 size shrinks by a factor p per level.  Every level keeps two blocks in some
 detail: the block being pushed to and the one before it, as Barba et al.'s
 compressed stack does.  At level 1 these are `first`, the push target, and
-`second`, its predecessor; older blocks survive as one signature each in
-`tail`.  Inside a component, every deeper level c keeps its finished blocks
-as one signature each, except the previous one, which is held as its parts:
-the signatures of its level-(c+1) sub-blocks, or at the deepest level its
-surviving entries, the previous run.  A held block is folded into one
-signature when a third block of its level starts; a component demoted to
-`second` also folds those of its middle levels.  So a pop that empties a
-block finds its predecessor one level finer instead of replaying all of it.
+`second`, its predecessor, and older blocks survive as one signature each in
+the tail: three regions of one list of groups.  Inside `first` and `second`,
+every deeper level c keeps its finished blocks as one signature each, except
+the previous one, which is held as its parts: the signatures of its
+level-(c+1) sub-blocks, or at the deepest level its surviving entries, the
+previous run.  A held block is folded into one signature when a third block
+of its level starts; `first` also folds those of its middle levels when it
+becomes `second`.  So a pop that empties a block finds its predecessor one
+level finer instead of replaying all of it.
 
 A signature records the index range and number of its surviving entries, the
 full bottom entry (payload plus restart snapshot), and a small floor buffer:
@@ -112,19 +113,19 @@ class PartitionGeometry:
         )
 
 
+
 @dataclass(frozen=True, slots=True)
 class BlockSignature:
     """O(1) summary of a folded block: surviving range and count, bottom, floor.
 
-    `count` is the number of entries of the block still live when it was
-    folded; a replay that rebuilds a different number has diverged.  `floor`
-    holds copies of up to k-1 entries directly below `bottom`; they are
-    readable during a replay of this block but never poppable.  The block's
-    level is where the signature sits: level 1 in a stack's `tail`, level lv
-    in a component's done[lv] or among the parts of its held[lv-1].
+    The survivors span bottom.index..last_index, and `count` is their number
+    at the fold; a replay that rebuilds a different number has diverged.
+    `floor` holds copies of up to k-1 entries directly below `bottom`; they
+    are readable during a replay of this block but never poppable.  The
+    block's level is where the signature sits: level 1 in the tail, level lv
+    in a region's done[lv] or among the parts of its held[lv-1].
     """
 
-    first_index: int
     last_index: int
     count: int
     bottom: Data
@@ -142,32 +143,29 @@ class Run(list):
     floor: tuple[Data, ...] = ()
 
 
-class Component:
-    """Detailed representation of one level-1 block (or sub-block in replays).
-
-    `lists` holds its groups in stack order, bottom to top: done[2],
-    held[2], done[3], held[3], ..., done[h], held[h], then the explicit run,
-    so done[c] sits at index 2c-4 and held[c] at 2c-3.  done[c] holds the
-    signatures of finished level-c blocks inside the active level-(c-1)
-    block.  held[c] is the newest finished level-c block of that same
-    parent, kept as its parts: at most p signatures of its level-(c+1)
-    sub-blocks, or for c = h a run of its entries, the previous run.  The
-    parts of group i are at level (i+1)//2 + 2, entries counting as level
-    h+1.  The explicit run holds the survivors of the deepest block last
-    pushed to.  With h = 1 the run is the only group: the deepest blocks are
-    level-1 blocks, whose pair is the stack's `first` and `second`.
-    `ref_index` is an index in the deepest block the run belongs to.
-    """
-
-    __slots__ = ("ref_index", "lists")
-
-    def __init__(self, ref_index: int, h: int):
-        self.ref_index = ref_index
-        self.lists: list[list] = [[] for _ in range(2 * h - 2)] + [Run()]
+def _groups(n: int) -> list[list]:
+    """n empty groups, the last one a run: a region from some group up."""
+    return [[] for _ in range(n - 1)] + [Run()]
 
 
 class CompressedStack(StackInterface):
     """Stack with bounded resident storage and replay-based recovery.
+
+    `lists` holds every group below the buffer in stack order: the tail of
+    older level-1 signatures, then the w = 2h-1 groups of `second`'s region,
+    then the w of `first`'s, so a region starts at base 1 or w+1.  A region
+    is one level-1 block: done[2], held[2], ..., done[h], held[h], then the
+    explicit run, so done[c] sits at base+2c-4 and held[c] at base+2c-3.
+    done[c] holds the signatures of finished level-c blocks inside the
+    active level-(c-1) block.  held[c] is the newest finished level-c block
+    of that same parent, kept as its parts: at most p signatures of its
+    level-(c+1) sub-blocks, or for c = h a run of its entries, the previous
+    run.  The parts of the group at base+j are at level (j+1)//2 + 2,
+    entries counting as level h+1.  The explicit run holds the survivors of
+    the deepest block last pushed to; with h = 1 it is the region's only
+    group.  Pushes go to `first`'s run, the last group; `ref_index` is an
+    index in its deepest block, and starts below the origin so that the
+    first push crosses a level-1 boundary.
 
     `replay` is a callable (scratch_stack, bottom_entry, last_index) -> None
     that re-runs the owning algorithm's hook loop over one block's input
@@ -182,9 +180,8 @@ class CompressedStack(StackInterface):
         "replay",
         "floor",
         "guard_index",
-        "first",
-        "second",
-        "tail",
+        "ref_index",
+        "lists",
         "buffer",
         "live",
         "degraded",
@@ -214,9 +211,9 @@ class CompressedStack(StackInterface):
         self.replay = replay
         self.floor = tuple(floor)
         self.guard_index = guard_index
-        self.first: Component | None = None
-        self.second: Component | None = None
-        self.tail: list[BlockSignature] = []
+        w = 2 * geometry.h - 1
+        self.ref_index = geometry.origin - 1
+        self.lists: list[list] = [[]] + _groups(w) + _groups(w)
         self.buffer: list[Data] = []
         self.live = 0
         self.degraded = False
@@ -249,15 +246,13 @@ class CompressedStack(StackInterface):
         g = self.geom
         if index > g.last_expected:
             self.degraded = True
-        comp = self.first
         # Block sizes form a divisibility chain, so two indices in the same
         # deepest block share their block at every level; that is also why
         # ref_index need not follow every push into its run.
         s = g.sizes[-1]
         if (
-            comp is None
-            or not (run := comp.lists[-1])
-            or (index - g.origin) // s != (comp.ref_index - g.origin) // s
+            not (run := self.lists[-1])
+            or (index - g.origin) // s != (self.ref_index - g.origin) // s
         ):
             run = self._start_run(index)
         run.append(d)
@@ -278,8 +273,7 @@ class CompressedStack(StackInterface):
             raise DeterminismError(
                 f"replay tried to pop its range bottom (index {self.guard_index})"
             )
-        comp = self.first
-        if comp is None or not (run := comp.lists[-1]):
+        if not (run := self.lists[-1]):
             run = self._top_run()
         d = run.pop()
         meter = self.meter
@@ -314,14 +308,12 @@ class CompressedStack(StackInterface):
         if self._disposed:
             return
         self._disposed = True
-        sigs, entries = self._counts(self._walk())
+        sigs, entries = self._counts(self.lists)
         self.meter.free_sig(sigs)
         self._free_entries(entries)
-        self.tail = []
+        self.lists = []
         self.buffer = []
         self.meter.free_slot(self.k)
-        self.first = None
-        self.second = None
         self.live = 0
 
     # -- folding ------------------------------------------------------------
@@ -330,45 +322,40 @@ class CompressedStack(StackInterface):
         """Fold what a push at index finishes; return the run, now empty and
         with its floor captured, that takes the push.
 
-        Crossing into a new level-1 block folds the old `second` into the
-        tail and demotes `first` to `second`, folding the held block of
-        each of its middle levels into one signature; its previous run
-        stays.  Crossing a boundary at level c > 1 keeps the finished
-        level-c block, if anything of it survives, as held[c], which
-        displaces (and folds) the block held there before.
+        Crossing into a new level-1 block folds `second`'s region into one
+        tail signature and makes `first`'s region `second`'s, folding the
+        held block of each of its middle levels into one signature; its
+        previous run stays.  Crossing a boundary at level c > 1 keeps the
+        finished level-c block, if anything of it survives, as held[c],
+        which displaces (and folds) the block held there before.
         """
-        g = self.geom
-        comp = self.first
-        if comp is None:
-            comp = self.first = Component(index, g.h)
-        else:
-            depth = min(self.k - 1, self.live)
-            if len(self.buffer) < depth:
-                # The new run's floor is copied from the buffer, which pops
-                # may have drained.  Refilling it can replay into comp, so
-                # it comes before any fold.
-                self.buffer = self._peek_top(depth)
-            cross = g.cross_level(comp.ref_index, index)
-            lists = comp.lists
-            if cross == 1:
-                sig = self._merge(self.second.lists) if self.second is not None else None
-                if sig is not None:
-                    self.tail.append(sig)
-                for i in range(1, len(lists) - 2, 2):
-                    if lists[i]:
-                        lists[i - 1].append(self._merge([lists[i]]))
-                        lists[i] = []
-                self.second = comp
-                comp = self.first = Component(index, g.h)
-            elif cross is not None:
-                parts = self._split(comp, cross)
-                if parts:
-                    i = 2 * cross - 3
-                    if lists[i]:
-                        lists[i - 1].append(self._merge([lists[i]]))
-                    lists[i] = parts
-            comp.ref_index = index
-        run = comp.lists[-1]
+        depth = min(self.k - 1, self.live)
+        if len(self.buffer) < depth:
+            # The new run's floor is copied from the buffer, which pops may
+            # have drained.  Refilling it can replay into `first`, so it
+            # comes before any fold.
+            self.buffer = self._peek_top(depth)
+        lists = self.lists
+        w = len(lists) // 2  # groups per region
+        cross = self.geom.cross_level(self.ref_index, index)
+        if cross == 1:
+            sig = self._merge(lists[1 : w + 1])
+            if sig is not None:
+                lists[0].append(sig)
+            for i in range(w + 2, len(lists) - 2, 2):
+                if lists[i]:
+                    lists[i - 1].append(self._merge([lists[i]]))
+                    lists[i] = []
+            lists[1:] = lists[w + 1 :] + _groups(w)
+        elif cross is not None:
+            parts = self._split(w + 1, cross)
+            if parts:
+                i = w + 2 * cross - 2  # held[cross] of `first`
+                if lists[i]:
+                    lists[i - 1].append(self._merge([lists[i]]))
+                lists[i] = parts
+        self.ref_index = index
+        run = lists[-1]
         # A refill that rebuilt the explicit run left the top entry there, in
         # a deepest block before index's, so the crossing moved it away.
         assert not run
@@ -378,21 +365,22 @@ class CompressedStack(StackInterface):
             self.meter.alloc_slot(len(floor))
         return run
 
-    def _split(self, comp: Component, c: int) -> list:
-        """The level-(c+1) parts of comp's active level-c block, bottom to
-        top, for 1 <= c <= h: at c = h its run, otherwise done[c+1], then
-        held[c+1] and everything above it folded into one signature each.
-        Nothing of the block stays in comp.
+    def _split(self, base: int, c: int) -> list:
+        """The level-(c+1) parts of the active level-c block of the region
+        at base, bottom to top, for 1 <= c <= h: at c = h its run, otherwise
+        done[c+1], then held[c+1] and everything above it folded into one
+        signature each.  Nothing of the block stays in the region.
         """
-        lists = comp.lists
-        i = 2 * c - 2
+        lists = self.lists
+        end = base + len(lists) // 2
+        i = base + 2 * c - 2
         parts = lists[i]
-        if i < len(lists) - 1:
-            for groups in (lists[i + 1 : i + 2], lists[i + 2 :]):
+        if i < end - 1:
+            for groups in (lists[i + 1 : i + 2], lists[i + 2 : end]):
                 sig = self._merge(groups)
                 if sig is not None:
                     parts.append(sig)
-        lists[i:] = [[] for _ in range(len(lists) - 1 - i)] + [Run()]
+        lists[i:end] = _groups(end - i)
         return parts
 
     def _merge(self, groups) -> BlockSignature | None:
@@ -423,7 +411,7 @@ class CompressedStack(StackInterface):
         if entries:
             self._free_entries(entries)
         self.meter.alloc_sig()
-        return BlockSignature(bottom.index, last_index, count, bottom, floor)
+        return BlockSignature(last_index, count, bottom, floor)
 
     def _floor_window(self) -> tuple[Data, ...]:
         """Up to k-1 entries directly below the next push, bottom to top.
@@ -446,67 +434,71 @@ class CompressedStack(StackInterface):
     def _top_run(self) -> Run:
         """The run holding the top entry, rebuilt in detail.
 
-        The top sits in the topmost non-empty group of the first component
-        with survivors, or else in the newest tail signature.  A held group
-        found there is promoted into the group above it, since the active
-        block of its level is empty: a previous run becomes the explicit run
-        without a replay, and of a held list only the newest sub-block is
-        expanded.  Otherwise the group's newest signature is expanded.
+        The top sits in the topmost non-empty group; the tail's newest
+        signature is expanded into `second`'s region, empty then.  A held
+        group is promoted into the group above it, since the active block of
+        its level is empty: a previous run becomes the explicit run without a
+        replay, and of a held list only the newest sub-block is expanded.
+        Otherwise the group's newest signature is expanded.  `ref_index`
+        follows the top only inside `first`: an emptied `first` still holds
+        the block of the last push, which the next push is compared against.
         """
-        if self.first is not None and any(self.first.lists):
-            comp = self.first
-        elif self.second is not None and any(self.second.lists):
-            comp = self.second
-        else:
-            sig = self.tail.pop()
-            comp = self.second = Component(sig.last_index, self.geom.h)
-            self._expand_into(comp, sig, 1)
-        lists = comp.lists
-        if not lists[-1]:
-            i = len(lists) - 2
-            while not lists[i]:
-                i -= 1
-            if i % 2:
-                lists[i + 1], lists[i] = lists[i], []
-                self.meter.promotions += 1
-                i += 1
-            if i == len(lists) - 1:
-                comp.ref_index = lists[i][-1].index
-            else:
-                self._expand_into(comp, lists[i].pop(), i // 2 + 2)
-        return lists[-1]
+        lists = self.lists
+        w = len(lists) // 2
+        i = len(lists) - 1
+        while not lists[i]:
+            i -= 1
+        if i == 0:
+            self._expand_into(0, 1, 1)
+            return lists[w]
+        base = 1 if i <= w else w + 1
+        j = i - base
+        if j % 2:
+            lists[i + 1], lists[i] = lists[i], []
+            self.meter.promotions += 1
+            j += 1
+        if j < w - 1:
+            self._expand_into(base + j, j // 2 + 2, base)
+        run = lists[base + w - 1]
+        if base > 1:
+            self.ref_index = run[-1].index
+        return run
 
-    def _expand_into(self, comp: Component, sig: BlockSignature, lv: int) -> None:
-        """Rebuild sig, the signature of a level-lv block, in detail inside comp.
+    def _expand_into(self, src: int, lv: int, base: int) -> None:
+        """Pop the signature of a level-lv block from lists[src] and rebuild
+        the block in detail inside the region at base.
 
         A block whose only survivor is its bottom needs no replay: the
-        bottom and its floor become comp's explicit run.  Otherwise the
+        bottom and its floor become the region's explicit run.  Otherwise the
         replay runs on a scratch stack restricted to the signature's block,
         where level i is level lv + i here, and must rebuild exactly the
         signature's survivors, ending on its top entry; the scratch's groups
-        then replace comp's from done[lv+1] up: its tail, its `second` split
-        into sub-blocks as held[lv+1], then the groups of its `first`.  The
-        scratch is released whether or not the replay succeeds; on failure
-        sig goes back where it was popped from, so the stack stays whole and
-        a retry fails the same way.  Both paths count as one reconstruction.
+        then replace the region's from done[lv+1] up: its tail, its `second`
+        split into sub-blocks as held[lv+1], then the groups of its `first`.
+        The scratch is released whether or not the replay succeeds; on
+        failure the signature goes back to lists[src], so the stack stays
+        whole and a retry fails the same way.  Both count as a reconstruction.
         """
-        assert not any(comp.lists[max(2 * lv - 3, 0) :])
+        lists = self.lists
+        end = base + len(lists) // 2
+        assert not any(lists[base + max(2 * lv - 3, 0) : end])
+        sig = lists[src].pop()
+        low = sig.bottom.index
         meter = self.meter
         meter.reconstructions += 1
-        if sig.first_index == sig.last_index:
+        if low == sig.last_index:
             meter.free_sig()
-            run = comp.lists[-1] = Run((sig.bottom,))
+            run = lists[end - 1] = Run((sig.bottom,))
             run.floor = sig.floor
-            comp.ref_index = sig.last_index
             return
         g = self.geom
         scratch = CompressedStack(
-            geometry=g.sub_geometry(lv, g.block_start(sig.first_index, lv)),
+            geometry=g.sub_geometry(lv, g.block_start(low, lv)),
             k=self.k,
             meter=meter,
             replay=self.replay,
             floor=sig.floor,
-            guard_index=sig.first_index,
+            guard_index=low,
         )
         meter.replay_depth += 1
         if meter.replay_depth > meter.max_replay_depth:
@@ -515,29 +507,26 @@ class CompressedStack(StackInterface):
             if self.replay is None:
                 raise StackError("no replay delegate bound; cannot reconstruct")
             self.replay(scratch, sig.bottom, sig.last_index)
-            top = scratch.first.lists[-1]
+            groups = scratch.lists
+            top = groups[-1]
             if scratch.live != sig.count or not top or top[-1].index != sig.last_index:
                 raise DeterminismError(
-                    f"replay of level-{lv} block [{sig.first_index}..{sig.last_index}] "
+                    f"replay of level-{lv} block [{low}..{sig.last_index}] "
                     f"rebuilt {scratch.live} entries, not the {sig.count} the run left, "
                     f"or did not end on index {sig.last_index}"
                 )
             # A level-h block is one level-1 block of the scratch.
-            if lv == g.h and (scratch.tail or scratch.second is not None):
+            if lv == g.h and any(groups[:-1]):
                 raise StackError("level-h replay produced sub-block signatures")
         except BaseException:
-            (self.tail if lv == 1 else comp.lists[2 * lv - 4]).append(sig)
+            lists[src].append(sig)
             raise
         else:
-            groups = scratch.first.lists
+            inner = groups[len(groups) // 2 + 1 :]  # the scratch's `first`
             if lv < g.h:
-                second = scratch.second
-                held = scratch._split(second, 1) if second is not None else []
-                groups = [scratch.tail, held] + groups
-            comp.lists[2 * lv - 2 :] = groups
-            comp.ref_index = sig.last_index
-            scratch.tail = []
-            scratch.first = scratch.second = None
+                inner = [groups[0], scratch._split(1, 1)] + inner
+            lists[base + 2 * lv - 2 : end] = inner
+            scratch.lists = []
             meter.free_sig()
             self._free_entries(1 + len(sig.floor))
         finally:
@@ -559,17 +548,9 @@ class CompressedStack(StackInterface):
 
     # -- introspection (checker and tests) ---------------------------------
 
-    def _walk(self):
-        """Every group below the buffer, bottom to top: the tail, then the
-        groups of `second` and of `first`."""
-        yield self.tail
-        for comp in (self.second, self.first):
-            if comp is not None:
-                yield from comp.lists
-
     @staticmethod
     def _counts(groups) -> tuple[int, int]:
-        """(signatures, entry copies) in the walked groups."""
+        """(signatures, entry copies) in groups."""
         sigs = entries = 0
         for group in groups:
             if type(group) is Run:
@@ -581,7 +562,7 @@ class CompressedStack(StackInterface):
 
     def iter_resident(self):
         """Yield (kind, data) for every resident entry copy, bottom to top."""
-        for group in self._walk():
+        for group in self.lists:
             if type(group) is Run:
                 for d in group.floor:
                     yield "floor", d
@@ -596,20 +577,15 @@ class CompressedStack(StackInterface):
             yield "buffer", d
 
     def resident_data_count(self) -> int:
-        """Entry copies held by the buffer and the two detailed components.
-
-        Tail signatures are left out: the tail is capped separately, by
-        tail_within_cap.
-        """
-        walk = self._walk()
-        next(walk)  # the tail
-        return len(self.buffer) + self._counts(walk)[1]
+        """Entry copies held by the buffer, `first` and `second`; the tail is
+        capped separately, by tail_within_cap."""
+        return len(self.buffer) + self._counts(self.lists[1:])[1]
 
     def resident_data_bound(self) -> int:
         """Cap on resident_data_count().
 
         With f = k-1 floor entries per run or signature, each of the two
-        components holds:
+        regions holds:
         - two runs (held[h] and the explicit run; only the latter at h = 1)
           of at most one deepest block, p entries, plus a floor of f apiece;
         - at most p-1 finished signatures in each done[c], c = 2..h, each a
@@ -627,7 +603,7 @@ class CompressedStack(StackInterface):
     def tail_within_cap(self) -> bool:
         if self._max_index > self.geom.last_expected:
             return True
-        return len(self.tail) <= max(0, self.geom.p - 2)
+        return len(self.lists[0]) <= max(0, self.geom.p - 2)
 
     def check_space_cap(self) -> None:
         """Assert the resident-entry cap and the tail cap; O(signature count)."""
@@ -637,35 +613,36 @@ class CompressedStack(StackInterface):
             raise AssertionError(f"resident entry count {count} exceeds cap {bound}")
         if not self.tail_within_cap():
             raise AssertionError(
-                f"tail holds {len(self.tail)} signatures, cap is {self.geom.p - 2}"
+                f"tail holds {len(self.lists[0])} signatures, cap is {self.geom.p - 2}"
             )
 
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by tests and the checker."""
         self.check_space_cap()
         g = self.geom
-        for comp in (self.second, self.first):
-            if comp is None:
-                continue
-            # 2h-2 groups then the explicit run; entries sit only in runs,
-            # which only held[h] and the top may be
-            lists = comp.lists
-            assert len(lists) == 2 * g.h - 1 and type(lists[-1]) is Run
-            for i, group in enumerate(lists):
+        lists = self.lists
+        # the tail, a plain list of signatures, then two regions of 2h-1
+        # groups each ending in the explicit run; entries sit only in runs,
+        # which only held[h] and the run slot may be
+        w = 2 * g.h - 1
+        assert len(lists) == 2 * w + 1 and type(lists[0]) is list
+        for base in (1, w + 1):
+            assert type(lists[base + w - 1]) is Run
+            for j, group in enumerate(lists[base : base + w]):
                 if not group:
                     continue
-                assert (type(group) is Run) == (i >= len(lists) - 2)
-                if i % 2 and type(group) is not Run:
+                assert (type(group) is Run) == (j >= w - 2)
+                if j % 2 and type(group) is not Run:
                     # held[c]: at most p sub-blocks, all inside one level-c block
-                    c = (i + 3) // 2
+                    c = (j + 3) // 2
                     assert len(group) <= g.p
-                    assert g.block_start(group[0].first_index, c) == g.block_start(
+                    assert g.block_start(group[0].bottom.index, c) == g.block_start(
                         group[-1].last_index, c
                     )
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
         survivors = 0
-        for group in self._walk():
+        for group in lists:
             if type(group) is Run:
                 assert len(group.floor) <= floor_cap
                 if group:
@@ -676,7 +653,7 @@ class CompressedStack(StackInterface):
                 survivors += len(group)
                 continue
             for sig in group:
-                assert prev < sig.first_index <= sig.last_index
+                assert prev < sig.bottom.index <= sig.last_index
                 assert len(sig.floor) <= floor_cap
                 prev = sig.last_index
                 survivors += sig.count

@@ -193,7 +193,13 @@ class LineCursor:
                 self._pos = pos
                 return None
             pos += len(raw)
-            line = raw.decode("utf-8").strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                # skip a comment whatever its bytes; _scan reports a data line
+                if raw.lstrip().startswith(b"#"):
+                    continue
+                raise
             if not line or line.startswith("#"):
                 continue
             self._pos = pos

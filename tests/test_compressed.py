@@ -31,28 +31,28 @@ class TestDirectPushes:
     def test_first_push(self):
         cs = CompressedStack(16, 2, k=1)
         cs.push(entry(1))
-        assert [d.index for d in cs.first.lists[-1]] == [1]  # the explicit run
-        assert cs.tail == []
+        assert [d.index for d in cs.lists[-1]] == [1]  # the explicit run
+        assert cs.lists[0] == []  # the tail
         assert cs.len() == 1
 
     def test_fold_on_deepest_boundary(self):
         cs = CompressedStack(27, 3, k=1)  # sizes (9, 3)
-        done, held, run = range(3)  # group indices at h = 2
+        done, held, run = range(4, 7)  # groups of `first` at h = 2
         for i in (1, 2, 3):
             cs.push(entry(i))
-        assert [d.index for d in cs.first.lists[run]] == [1, 2, 3]
+        assert [d.index for d in cs.lists[run]] == [1, 2, 3]
         # the first deepest crossing keeps the finished run explicit
         cs.push(entry(4))
-        assert [d.index for d in cs.first.lists[held]] == [1, 2, 3]
-        assert [d.index for d in cs.first.lists[run]] == [4]
-        assert cs.first.lists[done] == []
+        assert [d.index for d in cs.lists[held]] == [1, 2, 3]
+        assert [d.index for d in cs.lists[run]] == [4]
+        assert cs.lists[done] == []
         # the second folds the run it displaces, and only that one
         for i in (5, 6, 7):
             cs.push(entry(i))
-        assert [d.index for d in cs.first.lists[held]] == [4, 5, 6]
-        assert [d.index for d in cs.first.lists[run]] == [7]
-        sigs = cs.first.lists[done]  # finished level-2 blocks
-        assert [(s.first_index, s.last_index, s.count) for s in sigs] == [(1, 3, 3)]
+        assert [d.index for d in cs.lists[held]] == [4, 5, 6]
+        assert [d.index for d in cs.lists[run]] == [7]
+        sigs = cs.lists[done]  # finished level-2 blocks
+        assert [(s.bottom.index, s.last_index, s.count) for s in sigs] == [(1, 3, 3)]
         cs.check_invariants()
 
     def test_new_top_block_demotes_components(self):
@@ -60,10 +60,11 @@ class TestDirectPushes:
         for i in (1, 2, 3):
             cs.push(entry(i))
         cs.push(entry(9))
-        assert [d.index for d in cs.first.lists[-1]] == [9]
-        assert cs.second is not None and any(cs.second.lists)
-        assert cs.second.lists[-1][-1].index == 3
-        assert cs.tail == []
+        second = cs.lists[1:6]  # the groups of `second` at h = 3
+        assert [d.index for d in cs.lists[-1]] == [9]
+        assert any(second)
+        assert second[-1][-1].index == 3
+        assert cs.lists[0] == []
         cs.check_invariants()
 
     def test_push_below_current_index_rejected(self):
@@ -213,7 +214,7 @@ class TestReconstruction:
         assert meter.replay_lines == 0
         assert replays == []
         assert result.metrics.pops == 7
-        assert [d.index for d in cs.first.lists[-1]] == [8]
+        assert [d.index for d in cs.lists[-1]] == [8]
 
     def test_held_block_replays_only_its_newest_sub_block(self):
         # sizes (27, 9, 3): pushing 10 crosses a level-2 boundary, and the
@@ -225,8 +226,8 @@ class TestReconstruction:
 
         def on_element(runner, entry):
             if entry.index == 10:
-                held.extend((s.first_index, s.last_index, s.count)
-                            for s in runner.stack.first.lists[1])  # held[2]
+                held.extend((s.bottom.index, s.last_index, s.count)
+                            for s in runner.stack.lists[7])  # held[2] of `first`
 
         result, runner, cs, meter = run_testrun(pairs, p=3, n_expect=81, drain=False,
                                                 on_element=on_element)
@@ -237,7 +238,7 @@ class TestReconstruction:
         assert meter.promotions == 1
         assert meter.max_replay_depth == 1
         # 11 crosses the level-2 boundary again: [1..8] is held once more
-        assert [(s.first_index, s.last_index) for s in cs.first.lists[1]] == [
+        assert [(s.bottom.index, s.last_index) for s in cs.lists[7]] == [
             (1, 3), (4, 6), (7, 8)
         ]
         cs.check_invariants()
@@ -392,9 +393,9 @@ class TestSpaceCap:
         def on_element(runner, entry):
             stack = runner.stack
             walked = sum(1 for _ in stack.iter_resident())
-            in_tail = sum(1 + len(sig.floor) for sig in stack.tail)
+            in_tail = sum(1 + len(sig.floor) for sig in stack.lists[0])
             assert walked - in_tail == stack.resident_data_count()
-            tail_lens.append(len(stack.tail))
+            tail_lens.append(len(stack.lists[0]))
 
         run_testrun(pairs, p=4, n_expect=256, drain=False, on_element=on_element)
         assert max(tail_lens) >= 2
@@ -407,7 +408,7 @@ class TestOverflow:
         assert result.metrics.degraded_estimate
         # drain happened, so re-run undrained to inspect the tail growth
         result2, runner, cs, meter = run_testrun(pairs, p=2, n_expect=16, drain=False)
-        assert len(cs.tail) > cs.geom.p - 2
+        assert len(cs.lists[0]) > cs.geom.p - 2
 
     def test_exact_estimate_never_degrades(self):
         pairs = [(i, 0) for i in range(1, 33)]
@@ -448,7 +449,8 @@ def test_dispose_returns_all_bytes():
 
 
 # Counters of the reference implementation on fixed inputs (n=2^11, seed 0,
-# n_expect=n): (reconstructions, replay_lines, peak_bytes, final_len, pops).
+# n_expect=n): (reconstructions, replay_lines, peak_bytes, final_len, pops,
+# promotions, max_replay_depth, peak_data).
 # They carry no timing noise, so any change in what the stack folds, replays
 # or holds resident shows here.
 GOLDEN_N = 2 ** 11
@@ -458,24 +460,24 @@ GOLDEN_INPUTS = {
     "pushonly": ("pushonly", 1.0, "testrun"),
 }
 GOLDEN = {
-    ("xmas", "2", "scan"): (203, 749, 2032, 340, 1708),
-    ("xmas", "2", "drained"): (343, 2297, 2032, 340, 2048),
-    ("xmas", "log", "scan"): (106, 973, 4032, 340, 1708),
-    ("xmas", "log", "drained"): (183, 2069, 4032, 340, 2048),
-    ("xmas", "sqrt", "scan"): (14, 340, 5592, 340, 1708),
-    ("xmas", "sqrt", "drained"): (40, 922, 5592, 340, 2048),
-    ("points", "2", "scan"): (2890, 5873, 1504, 12, 2036),
-    ("points", "2", "drained"): (3167, 6600, 1504, 12, 2048),
-    ("points", "log", "scan"): (228, 318, 1640, 12, 2036),
-    ("points", "log", "drained"): (233, 324, 1640, 12, 2048),
-    ("points", "sqrt", "scan"): (38, 82, 1464, 12, 2036),
-    ("points", "sqrt", "drained"): (41, 88, 1464, 12, 2048),
-    ("pushonly", "2", "scan"): (0, 0, 3336, 2048, 0),
-    ("pushonly", "2", "drained"): (680, 5348, 3688, 2048, 2048),
-    ("pushonly", "log", "scan"): (0, 0, 7512, 2048, 0),
-    ("pushonly", "log", "drained"): (169, 3230, 7512, 2048, 2048),
-    ("pushonly", "sqrt", "scan"): (0, 0, 11496, 2048, 0),
-    ("pushonly", "sqrt", "drained"): (43, 1892, 11496, 2048, 2048),
+    ("xmas", "2", "scan"): (203, 749, 2032, 340, 1708, 555, 1, 19),
+    ("xmas", "2", "drained"): (343, 2297, 2032, 340, 2048, 908, 2, 19),
+    ("xmas", "log", "scan"): (106, 973, 4032, 340, 1708, 102, 2, 41),
+    ("xmas", "log", "drained"): (183, 2069, 4032, 340, 2048, 112, 2, 41),
+    ("xmas", "sqrt", "scan"): (14, 340, 5592, 340, 1708, 38, 1, 70),
+    ("xmas", "sqrt", "drained"): (40, 922, 5592, 340, 2048, 39, 1, 70),
+    ("points", "2", "scan"): (2890, 5873, 1504, 12, 2036, 3947, 3, 19),
+    ("points", "2", "drained"): (3167, 6600, 1504, 12, 2048, 4324, 3, 19),
+    ("points", "log", "scan"): (228, 318, 1640, 12, 2036, 547, 2, 21),
+    ("points", "log", "drained"): (233, 324, 1640, 12, 2048, 549, 2, 21),
+    ("points", "sqrt", "scan"): (38, 82, 1464, 12, 2036, 197, 1, 19),
+    ("points", "sqrt", "drained"): (41, 88, 1464, 12, 2048, 198, 1, 19),
+    ("pushonly", "2", "scan"): (0, 0, 3336, 2048, 0, 0, 0, 32),
+    ("pushonly", "2", "drained"): (680, 5348, 3688, 2048, 2048, 678, 1, 37),
+    ("pushonly", "log", "scan"): (0, 0, 7512, 2048, 0, 0, 0, 86),
+    ("pushonly", "log", "drained"): (169, 3230, 7512, 2048, 2048, 17, 1, 86),
+    ("pushonly", "sqrt", "scan"): (0, 0, 11496, 2048, 0, 0, 0, 156),
+    ("pushonly", "sqrt", "drained"): (43, 1892, 11496, 2048, 2048, 1, 1, 156),
 }
 
 
@@ -491,7 +493,8 @@ def test_golden_counters(name, schedule, mode):
                     collect_report=drain, drain_report=drain)
     m = runner.run().metrics
     got = (meter.reconstructions, meter.replay_lines, meter.peak_bytes,
-           m.final_len, m.pops)
+           m.final_len, m.pops, meter.promotions, meter.max_replay_depth,
+           meter.peak_data)
     assert got == GOLDEN[(name, schedule, mode)]
     cs.dispose()
     assert meter.live_bytes == 0

@@ -67,6 +67,11 @@ def test_undecodable_line_reports_position():
     assert exc.value.line_no == 2
 
 
+def test_undecodable_comment_is_skipped():
+    src = LineSource(data=b"5,0\n# caf\xe9\n7,0\n")
+    assert Runner(TestRun(), src, ClassicStack()).run().report == ["7", "5"]
+
+
 def test_malformed_line_during_replay_reports_position():
     # The forward scan reads the clean input; every cursor a replay opens
     # (pos > 0) reads a copy whose line 5 no longer parses.  Pushing 17
@@ -216,7 +221,7 @@ class TestChecker:
                     stack = self.twin.compressed
                     bad = Data(entry.index, type(entry.payload)(999999, 0),
                                entry.ctx_snapshot, entry.stream_pos)
-                    stack.first.lists[-1][-1] = bad
+                    stack.lists[-1][-1] = bad
 
         pairs = [(i, 0) for i in range(1, 17)]
         algo = Sabotage()
