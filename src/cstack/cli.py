@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", default="sqrt")
     b.add_argument("--rho", type=float, default=1.0)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--sizes", required=True,
+    b.add_argument("--sizes", required=True, type=_parse_sizes,
                    help="power-of-two exponent range, e.g. 10..14 for 2^10..2^14")
     b.add_argument("--out", required=True)
     b.add_argument("--cache-dir", default="bench-inputs")
@@ -106,12 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_sizes(text: str) -> list[int]:
+    """Sizes 2^lo..2^hi for an exponent range "lo..hi" or one exponent."""
     lo, _, hi = text.partition("..")
-    if not hi:
-        hi = lo
-    a, b = int(lo), int(hi)
-    if a > b:
-        raise ValueError(f"bad size range {text!r}")
+    try:
+        a, b = int(lo), int(hi or lo)
+        if not 0 <= a <= b:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad size range {text!r}: want exponents lo..hi with 0 <= lo <= hi"
+        ) from None
     return [2 ** e for e in range(a, b + 1)]
 
 
@@ -162,9 +166,8 @@ def main(argv=None) -> int:
             return 3
 
         if args.command == "bench":
-            sizes = _parse_sizes(args.sizes)
             rows = bench(
-                args.problem, args.kind, args.stack, args.p, sizes,
+                args.problem, args.kind, args.stack, args.p, args.sizes,
                 rho=args.rho, seed=args.seed, cache_dir=Path(args.cache_dir),
                 force_large=args.force_large,
             )

@@ -16,16 +16,18 @@ becomes `second`.  So a pop that empties a block finds its predecessor one
 level finer instead of replaying all of it.
 
 A signature records the index range and number of its surviving entries, the
-full bottom entry (payload plus restart snapshot), and a small floor buffer:
-copies of the k-1 entries that sat directly below the bottom when it was
-pushed.  When a pop or a deep top() probe needs entries that were folded
-away, the signature is expanded again by replaying the algorithm's own hooks
-over the signature's input range, seeded from the bottom's snapshot; the
-floor answers any top-k probe that reaches below the replayed range, which
-always holds at least the bottom itself.  A signature whose only survivor is
-its bottom is restored without a replay.  Replays may nest: the replay runs
-on another, smaller instance of this same structure, so resident memory stays
-bounded even while rebuilding a large block.
+full bottom entry (payload plus restart snapshot), and a floor: copies of
+the k-1 entries that sat directly below the bottom when it was pushed.  Runs
+keep floors too, so the explicit run and its floor answer top-k probes; a
+pop that empties the run leaves the floor, now the top k-1 entries, in the
+run slot until the next pop.  When a pop or a deeper probe needs entries
+that were folded away, the signature is expanded again by replaying the
+algorithm's own hooks over the signature's input range, seeded from the
+bottom's snapshot; the floor answers any top-k probe that reaches below the
+replayed range, which always holds at least the bottom itself.  A signature
+whose only survivor is its bottom is restored without a replay.  Replays may
+nest: the replay runs on another, smaller instance of this same structure,
+so resident memory stays bounded even while rebuilding a large block.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def _groups(n: int) -> list[list]:
 class CompressedStack(StackInterface):
     """Stack with bounded resident storage and replay-based recovery.
 
-    `lists` holds every group below the buffer in stack order: the tail of
+    `lists` holds every resident group in stack order: the tail of
     older level-1 signatures, then the w = 2h-1 groups of `second`'s region,
     then the w of `first`'s, so a region starts at base 1 or w+1.  A region
     is one level-1 block: done[2], held[2], ..., done[h], held[h], then the
@@ -182,9 +184,7 @@ class CompressedStack(StackInterface):
         "guard_index",
         "ref_index",
         "lists",
-        "buffer",
         "live",
-        "degraded",
         "_max_index",
         "_disposed",
     )
@@ -214,12 +214,14 @@ class CompressedStack(StackInterface):
         w = 2 * geometry.h - 1
         self.ref_index = geometry.origin - 1
         self.lists: list[list] = [[]] + _groups(w) + _groups(w)
-        self.buffer: list[Data] = []
         self.live = 0
-        self.degraded = False
         self._max_index = geometry.origin - 1
         self._disposed = False
-        self.meter.alloc_slot(self.k)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether a push went beyond the index the layout was sized for."""
+        return self._max_index > self.geom.last_expected
 
     # -- accounting helpers -------------------------------------------------
 
@@ -244,8 +246,6 @@ class CompressedStack(StackInterface):
             )
         self._max_index = index
         g = self.geom
-        if index > g.last_expected:
-            self.degraded = True
         # Block sizes form a divisibility chain, so two indices in the same
         # deepest block share their block at every level; that is also why
         # ref_index need not follow every push into its run.
@@ -259,11 +259,6 @@ class CompressedStack(StackInterface):
         meter = self.meter
         meter.alloc_data()
         meter.alloc_slot()
-        if self.k:
-            buffer = self.buffer
-            if len(buffer) == self.k:
-                del buffer[0]
-            buffer.append(d)
         self.live += 1
 
     def pop(self) -> Data:
@@ -279,30 +274,27 @@ class CompressedStack(StackInterface):
         meter = self.meter
         meter.free_data()
         meter.free_slot()
-        if not run:
-            n = len(run.floor)
-            if n:
-                meter.free_data(n)
-                meter.free_slot(n)
-                run.floor = ()
+        if not run and run is not self.lists[-1]:
+            # `second`'s run emptied: the run slot keeps its floor, the new top
+            self.lists[-1].floor, run.floor = run.floor, ()
         self.live -= 1
-        if self.buffer:
-            self.buffer.pop()
         return d
 
     def top(self, j: int) -> Data | None:
-        buffer = self.buffer
-        if 0 < j <= len(buffer):
-            return buffer[-j]
         if j < 1 or j > self.k:
             raise ContractError(f"top({j}) outside declared access depth k={self.k}")
+        run = self.lists[-1]
+        if j <= len(run):
+            return run[-j]
+        deficit = j - len(run)
+        if deficit <= len(run.floor):
+            return run.floor[-deficit]
         if j > self.live:
             deficit = j - self.live
             if deficit <= len(self.floor):
                 return self.floor[-deficit]
             return None
-        self.buffer = self._peek_top(j)
-        return self.buffer[-j]
+        return self._peek_top(j)[-j]
 
     def dispose(self) -> None:
         if self._disposed:
@@ -311,9 +303,8 @@ class CompressedStack(StackInterface):
         sigs, entries = self._counts(self.lists)
         self.meter.free_sig(sigs)
         self._free_entries(entries)
-        self.lists = []
-        self.buffer = []
-        self.meter.free_slot(self.k)
+        w = 2 * self.geom.h - 1
+        self.lists = [[]] + _groups(w) + _groups(w)
         self.live = 0
 
     # -- folding ------------------------------------------------------------
@@ -329,37 +320,30 @@ class CompressedStack(StackInterface):
         finished level-c block, if anything of it survives, as held[c],
         which displaces (and folds) the block held there before.
         """
-        depth = min(self.k - 1, self.live)
-        if len(self.buffer) < depth:
-            # The new run's floor is copied from the buffer, which pops may
-            # have drained.  Refilling it can replay into `first`, so it
-            # comes before any fold.
-            self.buffer = self._peek_top(depth)
+        # Before any fold: copying the floor can replay into `first`, and a
+        # crossing would move or drop an emptied run slot with its floor.
+        floor = self._floor_window()
         lists = self.lists
         w = len(lists) // 2  # groups per region
         cross = self.geom.cross_level(self.ref_index, index)
         if cross == 1:
-            sig = self._merge(lists[1 : w + 1])
-            if sig is not None:
-                lists[0].append(sig)
+            self._merge(lists[1 : w + 1], lists[0])
             for i in range(w + 2, len(lists) - 2, 2):
-                if lists[i]:
-                    lists[i - 1].append(self._merge([lists[i]]))
-                    lists[i] = []
+                self._merge([lists[i]], lists[i - 1])
+                lists[i] = []
             lists[1:] = lists[w + 1 :] + _groups(w)
         elif cross is not None:
             parts = self._split(w + 1, cross)
             if parts:
                 i = w + 2 * cross - 2  # held[cross] of `first`
-                if lists[i]:
-                    lists[i - 1].append(self._merge([lists[i]]))
+                self._merge([lists[i]], lists[i - 1])
                 lists[i] = parts
         self.ref_index = index
         run = lists[-1]
-        # A refill that rebuilt the explicit run left the top entry there, in
-        # a deepest block before index's, so the crossing moved it away.
+        # A floor copy that rebuilt the run left it in a deepest block before
+        # index's, so the crossing moved it away.
         assert not run
-        floor = run.floor = self._floor_window()
+        run.floor = floor
         if floor:
             self.meter.alloc_data(len(floor))
             self.meter.alloc_slot(len(floor))
@@ -377,23 +361,21 @@ class CompressedStack(StackInterface):
         parts = lists[i]
         if i < end - 1:
             for groups in (lists[i + 1 : i + 2], lists[i + 2 : end]):
-                sig = self._merge(groups)
-                if sig is not None:
-                    parts.append(sig)
+                self._merge(groups, parts)
         lists[i:end] = _groups(end - i)
         return parts
 
-    def _merge(self, groups) -> BlockSignature | None:
-        """One signature for the parts of groups, the surviving parts of one
-        block in stack order, signature lists and runs alike; None when
-        there are none.
+    def _merge(self, groups, into: list) -> None:
+        """Append to `into` one signature for the parts of groups, the
+        surviving parts of one block in stack order, signature lists and runs
+        alike; append nothing when there are none.
 
         Frees every record the fold drops before allocating the signature;
         the bottom part's bottom and floor records move into it unchanged.
         """
         groups = [group for group in groups if group]
         if not groups:
-            return None
+            return
         sigs, entries = self._counts(groups)
         count = sum(
             len(group) if type(group) is Run else sum(sig.count for sig in group)
@@ -411,21 +393,30 @@ class CompressedStack(StackInterface):
         if entries:
             self._free_entries(entries)
         self.meter.alloc_sig()
-        return BlockSignature(last_index, count, bottom, floor)
+        into.append(BlockSignature(last_index, count, bottom, floor))
 
     def _floor_window(self) -> tuple[Data, ...]:
-        """Up to k-1 entries directly below the next push, bottom to top.
+        """Up to k-1 entries directly below the next push, bottom to top,
+        off the meter.
 
         A floor is read only below at least one entry of its own run, so
-        k-1 entries answer every top-k probe.
+        k-1 entries answer every top-k probe.  An emptied run slot's floor
+        holds them; otherwise they are copied from the top, and on a replay's
+        scratch stack the entries below its live ones are its own floor.
         """
         depth = self.k - 1
         if depth <= 0:
             return ()
-        win = self.buffer[-depth:]
+        run = self.lists[-1]
+        if not run and run.floor:
+            win = run.floor
+            run.floor = ()
+            self._free_entries(len(win))
+            return win
+        if len(run) >= depth:
+            return tuple(run[-depth:])
+        win = self._peek_top(min(depth, self.live)) if self.live else []
         if len(win) < depth:
-            # _start_run refilled the buffer, so it holds every live entry;
-            # on a replay's scratch stack the entries below are its floor.
             win = list(self.floor[len(win) - depth :]) + win
         return tuple(win)
 
@@ -446,6 +437,10 @@ class CompressedStack(StackInterface):
         lists = self.lists
         w = len(lists) // 2
         i = len(lists) - 1
+        run = lists[i]
+        if run.floor and not run:  # stale: the caller reaches below it
+            self._free_entries(len(run.floor))
+            run.floor = ()
         while not lists[i]:
             i -= 1
         if i == 0:
@@ -573,13 +568,11 @@ class CompressedStack(StackInterface):
                 for d in sig.floor:
                     yield "floor", d
                 yield "bottom", sig.bottom
-        for d in self.buffer:
-            yield "buffer", d
 
     def resident_data_count(self) -> int:
-        """Entry copies held by the buffer, `first` and `second`; the tail is
-        capped separately, by tail_within_cap."""
-        return len(self.buffer) + self._counts(self.lists[1:])[1]
+        """Entry copies held by `first` and `second`; the tail is capped
+        separately, by tail_within_cap."""
+        return self._counts(self.lists[1:])[1]
 
     def resident_data_bound(self) -> int:
         """Cap on resident_data_count().
@@ -592,16 +585,15 @@ class CompressedStack(StackInterface):
           bottom plus f floor entries;
         - a held list on each of the h-2 middle levels 2..h-1, at most p
           signatures of 1+f entries each.
-        The buffer adds k.
         """
         g = self.geom
         floor = max(self.k - 1, 0)
         runs = 2 if g.h > 1 else 1
         sigs = (g.h - 1) * (g.p - 1) + max(g.h - 2, 0) * g.p
-        return 2 * (runs * (g.sizes[-1] + floor) + sigs * (1 + floor)) + self.k
+        return 2 * (runs * (g.sizes[-1] + floor) + sigs * (1 + floor))
 
     def tail_within_cap(self) -> bool:
-        if self._max_index > self.geom.last_expected:
+        if self.degraded:
             return True
         return len(self.lists[0]) <= max(0, self.geom.p - 2)
 
@@ -658,5 +650,3 @@ class CompressedStack(StackInterface):
                 prev = sig.last_index
                 survivors += sig.count
         assert survivors == self.live, f"signatures and runs hold {survivors}, live is {self.live}"
-        if self.buffer:
-            assert len(self.buffer) <= max(self.k, 0)

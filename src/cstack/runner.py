@@ -394,9 +394,10 @@ class TwinStack(StackInterface):
     """Drives a classic and a compressed stack in lockstep and compares them.
 
     Every push/pop/top is mirrored; with deep=True, after each operation all
-    entry copies resident in the compressed structure (buffer, explicit runs,
-    signature bottoms, floor buffers) are checked against the classic stack's
-    entry at the same index.  Otherwise only the space cap is checked.
+    entry copies resident in the compressed structure (explicit runs,
+    signature bottoms, floors) are checked against the classic stack's entry
+    at the same index, and the floor an emptied run slot keeps must be the
+    classic stack's top entries.  Otherwise only the space cap is checked.
     """
 
     def __init__(self, classic, compressed, deep: bool = False):
@@ -461,9 +462,9 @@ class TwinStack(StackInterface):
                     self.ordinal,
                     f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
                 )
-        nb = len(self.compressed.buffer)
-        if nb and entries[-nb:] != self.compressed.buffer:
-            raise DivergenceError(self.ordinal, "buffer does not mirror the top entries")
+        run = self.compressed.lists[-1]
+        if not run and run.floor and tuple(entries[-len(run.floor):]) != run.floor:
+            raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
         self.compressed.check_invariants()
 
 

@@ -77,6 +77,14 @@ def test_bench_without_sizes_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("sizes", ["-1..2", "14..10", "ten"])
+def test_bad_size_range_is_usage_error(tmp_path, capsys, sizes):
+    code, out, err = run_cli(capsys, "bench", "--stack", "classic", f"--sizes={sizes}",
+                             "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert repr(sizes) in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "run", "--problem", "testrun",
                              "--input", "x", "--frobnicate")

@@ -94,6 +94,32 @@ def test_malformed_line_during_replay_reports_position():
     assert exc.value.line_no == 5
 
 
+def test_input_ending_during_replay_reports_position():
+    # The forward scan reads the whole input; every cursor a replay opens
+    # (pos > 0) reads it cut after line 4, so the first replay, of the
+    # block whose bottom is 9, finds no line 10.
+    pairs = [(i, 0) for i in range(1, 18)] + [(18, 12)]
+    text = pairs_to_text(pairs)
+    cut = "".join(text.splitlines(keepends=True)[:4]).encode()
+
+    class CutOnReplay(LineSource):
+        def cursor(self, pos=0):
+            if not pos:
+                return super().cursor(pos)
+            handle = io.BytesIO(cut)
+            handle.seek(pos)
+            return LineCursor(handle)
+
+    meter = MemoryMeter()
+    cs = CompressedStack(18, 2, 1, meter=meter)
+    with pytest.raises(ParseError, match="input ended during replay") as exc:
+        Runner(TestRun(), CutOnReplay.from_text(text), cs).run()
+    assert exc.value.line_no == 10
+    cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
+
+
 def test_changed_input_raises_instead_of_replaying_other_lines(tmp_path):
     # Adding 1 to every value between the scan and the drain would make the
     # drain's replays rebuild other entries than the scan pushed.  The mtime
