@@ -8,6 +8,7 @@ input generators are included, and a CLI benchmarks time and memory across
 sizes and space parameters.
 """
 
+from .checker import DivergenceError, TwinStack, run_checked
 from .core import (
     AccountingError,
     ClassicStack,
@@ -22,17 +23,7 @@ from .compressed import BlockSignature, CompressedStack, PartitionGeometry
 from .generators import GenSpec, generate
 from .metrics import MemoryMeter, RunMetrics, resolve_p
 from .problems import Point2D, TestRun, UpperHull, orientation
-from .runner import (
-    DivergenceError,
-    LineSource,
-    ParseError,
-    Runner,
-    RunResult,
-    StackAlgorithm,
-    TopAccess,
-    TwinStack,
-    run_checked,
-)
+from .runner import LineSource, ParseError, Runner, RunResult, StackAlgorithm, TopAccess
 
 __all__ = [
     "AccountingError",

@@ -1,0 +1,128 @@
+"""Lockstep checker: a classic and a compressed stack driven as one.
+
+`TwinStack` mirrors every operation onto both stacks and raises
+`DivergenceError` at the first answer they disagree on; `run_checked` runs
+an algorithm over an input that way, with the compressed stack's resident
+copies compared against the classic stack after every push and pop.
+"""
+
+from __future__ import annotations
+
+import bisect
+
+from .compressed import CompressedStack
+from .core import ClassicStack, Data, StackInterface
+from .runner import LineSource, Runner, StackAlgorithm
+
+
+class DivergenceError(AssertionError):
+    """The two stacks disagreed; carries where and how."""
+
+    def __init__(self, ordinal: int, what: str):
+        super().__init__(f"divergence at operation {ordinal}: {what}")
+        self.ordinal = ordinal
+        self.what = what
+
+
+class TwinStack(StackInterface):
+    """Drives a classic and a compressed stack in lockstep and compares them.
+
+    Every push/pop/top is mirrored; with deep=True, after each operation all
+    entry copies resident in the compressed structure (explicit runs,
+    signature bottoms, floors) are checked against the classic stack's entry
+    at the same index, and the floor an emptied run slot keeps must be the
+    classic stack's top entries.  Otherwise only the space cap is checked.
+    """
+
+    def __init__(self, classic, compressed, deep: bool = False):
+        self.classic = classic
+        self.compressed = compressed
+        self.deep = deep
+        self.ordinal = 0
+        self.meter = compressed.meter
+
+    @property
+    def degraded(self) -> bool:
+        return self.compressed.degraded
+
+    @property
+    def replay(self):
+        """The compressed stack's replay delegate, which a Runner binds."""
+        return self.compressed.replay
+
+    @replay.setter
+    def replay(self, delegate) -> None:
+        self.compressed.replay = delegate
+
+    def push(self, d: Data) -> None:
+        self.ordinal += 1
+        self.classic.push(d)
+        self.compressed.push(d)
+        self.verify_now()
+
+    def pop(self) -> Data:
+        self.ordinal += 1
+        a = self.classic.pop()
+        b = self.compressed.pop()
+        if a != b:
+            raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
+        self.verify_now()
+        return b
+
+    def top(self, j: int) -> Data | None:
+        a = self.classic.top(j)
+        b = self.compressed.top(j)
+        if a != b:
+            raise DivergenceError(self.ordinal, f"top({j}) returned {b!r}, classic has {a!r}")
+        return b
+
+    def len(self) -> int:
+        la = self.classic.len()
+        lb = self.compressed.len()
+        if la != lb:
+            raise DivergenceError(self.ordinal, f"lengths differ: classic {la}, compressed {lb}")
+        return lb
+
+    def dispose(self) -> None:
+        self.classic.dispose()
+        self.compressed.dispose()
+
+    def verify_now(self) -> None:
+        if not self.deep:
+            self.compressed.check_space_cap()
+            return
+        entries = self.classic.entries
+        indices = [e.index for e in entries]
+        for kind, d in self.compressed.iter_resident():
+            i = bisect.bisect_left(indices, d.index)
+            if i == len(indices) or indices[i] != d.index:
+                raise DivergenceError(
+                    self.ordinal,
+                    f"{kind} entry index {d.index} not live in classic stack",
+                )
+            if entries[i] != d:
+                raise DivergenceError(
+                    self.ordinal,
+                    f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
+                )
+        run = self.compressed.lists[-1]
+        if not run and run.floor and tuple(entries[-len(run.floor):]) != run.floor:
+            raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
+        self.compressed.check_invariants()
+
+
+def run_checked(
+    algo: StackAlgorithm, source: LineSource, p: int, *, n_expect: int
+) -> tuple[bool, str | None]:
+    """Run classic and compressed in lockstep with deep state comparison.
+
+    The compressed stack answers top-k probes to the algorithm's k.  Returns
+    (True, None) when every check passed, else (False, detail) with the first
+    divergence: operation ordinal, entry index, and both values.
+    """
+    twin = TwinStack(ClassicStack(), CompressedStack(n_expect, p, algo.k), deep=True)
+    try:
+        Runner(algo, source, twin, collect_report=False).run()
+    except DivergenceError as exc:
+        return False, str(exc)
+    return True, None

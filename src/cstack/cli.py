@@ -11,10 +11,11 @@ import sys
 from pathlib import Path
 
 from .bench import DESK_CAP, bench, execute_run, metrics_footer, write_csv
+from .checker import run_checked
 from .generators import GEN_KINDS, GenSpec, generate
 from .metrics import SCHEDULES, resolve_p
 from .problems import PROBLEMS
-from .runner import LineSource, run_checked
+from .runner import LineSource
 
 
 class _Parser(argparse.ArgumentParser):

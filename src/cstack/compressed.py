@@ -186,7 +186,6 @@ class CompressedStack(StackInterface):
         "lists",
         "live",
         "_max_index",
-        "_disposed",
     )
 
     def __init__(
@@ -211,12 +210,15 @@ class CompressedStack(StackInterface):
         self.replay = replay
         self.floor = tuple(floor)
         self.guard_index = guard_index
-        w = 2 * geometry.h - 1
-        self.ref_index = geometry.origin - 1
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty the layout, so that the next push starts it afresh."""
+        w = 2 * self.geom.h - 1
+        self.ref_index = self.geom.origin - 1
         self.lists: list[list] = [[]] + _groups(w) + _groups(w)
         self.live = 0
-        self._max_index = geometry.origin - 1
-        self._disposed = False
+        self._max_index = self.geom.origin - 1
 
     @property
     def degraded(self) -> bool:
@@ -297,15 +299,10 @@ class CompressedStack(StackInterface):
         return self._peek_top(j)[-j]
 
     def dispose(self) -> None:
-        if self._disposed:
-            return
-        self._disposed = True
         sigs, entries = self._counts(self.lists)
         self.meter.free_sig(sigs)
         self._free_entries(entries)
-        w = 2 * self.geom.h - 1
-        self.lists = [[]] + _groups(w) + _groups(w)
-        self.live = 0
+        self._reset()
 
     # -- folding ------------------------------------------------------------
 

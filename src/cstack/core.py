@@ -75,18 +75,18 @@ class StackInterface:
         raise NotImplementedError
 
     def dispose(self) -> None:
-        """Release accounted storage. Idempotent."""
+        """Release accounted storage and empty the stack, which then takes
+        pushes as a new one does. Idempotent."""
 
 
 class ClassicStack(StackInterface):
     """Growable-array stack holding every live entry explicitly."""
 
-    __slots__ = ("entries", "meter", "_disposed")
+    __slots__ = ("entries", "meter")
 
     def __init__(self, meter: MemoryMeter | None = None):
         self.entries: list[Data] = []
         self.meter = meter if meter is not None else MemoryMeter()
-        self._disposed = False
 
     def push(self, d: Data) -> None:
         if self.entries and d.index <= self.entries[-1].index:
@@ -113,8 +113,5 @@ class ClassicStack(StackInterface):
         return len(self.entries)
 
     def dispose(self) -> None:
-        if self._disposed:
-            return
-        self._disposed = True
         self.meter.free_data(len(self.entries))
         self.entries.clear()

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 # Idealized per-record costs in bytes, applied uniformly to both stack kinds.
 # A data record is an index, a stream position, a context reference and a
 # payload slot; a signature additionally owns its bottom/floor data records,
-# which are accounted separately as data.
+# which are accounted separately as data.  A slot is the pointer through
+# which the compressed stack holds each resident entry copy.
 DATA_BYTES = 48
 SIG_BYTES = 64
-BUFFER_SLOT_BYTES = 8
+SLOT_BYTES = 8
 
 
 class AccountingError(Exception):
@@ -87,12 +88,12 @@ class MemoryMeter:
             raise AccountingError(f"live bytes went negative freeing {count} signatures")
 
     def alloc_slot(self, count: int = 1) -> None:
-        live = self.live_bytes = self.live_bytes + BUFFER_SLOT_BYTES * count
+        live = self.live_bytes = self.live_bytes + SLOT_BYTES * count
         if live > self.peak_bytes:
             self.peak_bytes = live
 
     def free_slot(self, count: int = 1) -> None:
-        self.live_bytes -= BUFFER_SLOT_BYTES * count
+        self.live_bytes -= SLOT_BYTES * count
         if self.live_bytes < 0:
             raise AccountingError(f"live bytes went negative freeing {count} slots")
 

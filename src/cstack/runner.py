@@ -6,19 +6,20 @@ pre/post/no actions around each, and a formatter for the final report.  The
 runner executes the loop, feeds the hooks read-only views of the top-k
 entries, and drains the stack into the report when the input ends.
 
-The run and every replay share one loop, `Runner._scan`: when a compressed
-stack needs a folded block back, the runner re-runs the hooks over that
-block's input range on an independent cursor, against a scratch stack, with a
-private copy of the context.  A line that fails to parse is a ParseError
-naming its line number, during the run or a replay alike.  Conditions must
-be pure functions of (payload, context, top-k view), and the other hooks may
-mutate the context but nothing else the replay can observe.  On every stack,
-top(j) reads None beyond the stack's depth.
+The run and every replay share one loop, `Runner._scan`: a stack that
+declares an unset `replay` delegate, as the compressed stack does, gets
+`Runner.replay_segment`, and when it needs a folded block back the runner
+re-runs the hooks over that block's input range on an independent cursor,
+against a scratch stack, with a private copy of the context.  A line that
+fails to parse is a ParseError naming its line number, during the run or a
+replay alike.  Conditions must be pure functions of (payload, context, top-k
+view), and the other hooks may mutate the context but nothing else the
+replay can observe.  On every stack, top(j) reads None beyond the stack's
+depth.
 """
 
 from __future__ import annotations
 
-import bisect
 import copy
 import io
 import os
@@ -26,8 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .compressed import CompressedStack
-from .core import ClassicStack, ContractError, Data, DeterminismError, StackInterface
+from .core import ContractError, Data, DeterminismError, StackInterface
 from .metrics import MemoryMeter, RunMetrics
 
 
@@ -46,8 +46,8 @@ class TopAccess:
     fewer than j entries; j beyond the algorithm's declared depth is an
     error.  Probes are lazy: a condition that never looks at the stack never
     pays for deep access.  Every stack's own top reads None beyond its
-    depth, so the view only adds the k check; a compressed stack built for
-    the same k makes that check itself, so there `top` is the stack's own
+    depth, so the view only adds the k check; a stack that declares the
+    same k makes that check itself, so there `top` is the stack's own
     method.
     """
 
@@ -55,7 +55,7 @@ class TopAccess:
 
     def __init__(self, stack: StackInterface, k: int):
         self.k = k
-        if isinstance(stack, CompressedStack) and stack.k == k:
+        if getattr(stack, "k", None) == k:
             self.top = stack.top
         else:
             self._top = stack.top
@@ -238,7 +238,7 @@ class Runner:
         self.collect_report = collect_report
         self.drain_report = drain_report
         self.index = 0
-        if isinstance(stack, CompressedStack) and stack.replay is None:
+        if getattr(stack, "replay", False) is None:
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
 
@@ -358,16 +358,15 @@ class Runner:
         """Re-run the hook loop over input indices bottom.index..last_index.
 
         Seeds the scratch with the bottom entry, restores its context
-        snapshot, and resumes reading right after the bottom's line.  The
-        loop's push and pop counts are dropped, so replays do not inflate
-        the run's; `index` is restored for hooks that read it.
+        snapshot, and resumes reading right after the bottom's line;
+        last_index is above bottom.index, as a lone survivor needs no
+        replay.  The loop's push and pop counts are dropped, so replays do
+        not inflate the run's; `index` is restored for hooks that read it.
         """
         algo = self.algo
         ctx = algo.clone_context(bottom.ctx_snapshot)
         scratch.push(bottom)
         algo.post_push(bottom, ctx)
-        if bottom.index >= last_index:
-            return
         index = self.index
         cursor = self.source.cursor(bottom.stream_pos)
         try:
@@ -376,120 +375,3 @@ class Runner:
             self.index = index
             cursor.close()
         self.meter.replay_lines += last_index - bottom.index
-
-
-# -- twin execution / checker ------------------------------------------------
-
-
-class DivergenceError(AssertionError):
-    """The two stacks disagreed; carries where and how."""
-
-    def __init__(self, ordinal: int, what: str):
-        super().__init__(f"divergence at operation {ordinal}: {what}")
-        self.ordinal = ordinal
-        self.what = what
-
-
-class TwinStack(StackInterface):
-    """Drives a classic and a compressed stack in lockstep and compares them.
-
-    Every push/pop/top is mirrored; with deep=True, after each operation all
-    entry copies resident in the compressed structure (explicit runs,
-    signature bottoms, floors) are checked against the classic stack's entry
-    at the same index, and the floor an emptied run slot keeps must be the
-    classic stack's top entries.  Otherwise only the space cap is checked.
-    """
-
-    def __init__(self, classic, compressed, deep: bool = False):
-        self.classic = classic
-        self.compressed = compressed
-        self.deep = deep
-        self.ordinal = 0
-        self.meter = compressed.meter
-
-    @property
-    def degraded(self) -> bool:
-        return self.compressed.degraded
-
-    def push(self, d: Data) -> None:
-        self.ordinal += 1
-        self.classic.push(d)
-        self.compressed.push(d)
-        self.verify_now()
-
-    def pop(self) -> Data:
-        self.ordinal += 1
-        a = self.classic.pop()
-        b = self.compressed.pop()
-        if a != b:
-            raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
-        self.verify_now()
-        return b
-
-    def top(self, j: int) -> Data | None:
-        a = self.classic.top(j)
-        b = self.compressed.top(j)
-        if a != b:
-            raise DivergenceError(self.ordinal, f"top({j}) returned {b!r}, classic has {a!r}")
-        return b
-
-    def len(self) -> int:
-        la = self.classic.len()
-        lb = self.compressed.len()
-        if la != lb:
-            raise DivergenceError(self.ordinal, f"lengths differ: classic {la}, compressed {lb}")
-        return lb
-
-    def dispose(self) -> None:
-        self.classic.dispose()
-        self.compressed.dispose()
-
-    def verify_now(self) -> None:
-        if not self.deep:
-            self.compressed.check_space_cap()
-            return
-        entries = self.classic.entries
-        indices = [e.index for e in entries]
-        for kind, d in self.compressed.iter_resident():
-            i = bisect.bisect_left(indices, d.index)
-            if i == len(indices) or indices[i] != d.index:
-                raise DivergenceError(
-                    self.ordinal,
-                    f"{kind} entry index {d.index} not live in classic stack",
-                )
-            if entries[i] != d:
-                raise DivergenceError(
-                    self.ordinal,
-                    f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
-                )
-        run = self.compressed.lists[-1]
-        if not run and run.floor and tuple(entries[-len(run.floor):]) != run.floor:
-            raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
-        self.compressed.check_invariants()
-
-
-def run_checked(
-    algo: StackAlgorithm,
-    source: LineSource,
-    p: int,
-    *,
-    n_expect: int,
-    k: int | None = None,
-    meter: MemoryMeter | None = None,
-) -> tuple[bool, str | None]:
-    """Run classic and compressed in lockstep with deep state comparison.
-
-    Returns (True, None) when every check passed, else (False, detail) with
-    the first divergence: operation ordinal, entry index, and both values.
-    """
-    k = algo.k if k is None else k
-    meter = meter or MemoryMeter()
-    compressed = CompressedStack(n_expect, p, k, meter=meter)
-    twin = TwinStack(ClassicStack(), compressed, deep=True)
-    runner = Runner(algo, source, twin, collect_report=False)
-    compressed.replay = runner.replay_segment
-    try:
-        runner.run()
-    except DivergenceError as exc:
-        return False, str(exc)
-    return True, None

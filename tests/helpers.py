@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+from cstack.checker import TwinStack
 from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack
 from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun
-from cstack.runner import LineSource, Runner, TwinStack
+from cstack.runner import LineSource, Runner
 
 
 def pairs_to_text(pairs) -> str:
@@ -60,7 +61,6 @@ def run_twin_testrun(pairs, *, p, n_expect=None, k=1, deep=False, drain=True,
     twin = TwinStack(ClassicStack(), compressed, deep=deep)
     runner = Runner(algo or TestRun(), LineSource.from_text(pairs_to_text(pairs)), twin,
                     drain_report=drain)
-    compressed.replay = runner.replay_segment
     result = runner.run()
     return result, twin
 

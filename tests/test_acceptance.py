@@ -11,12 +11,13 @@ import time
 
 import pytest
 
+from cstack.checker import TwinStack, run_checked
 from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack
 from cstack.generators import GenSpec, generate, xmas_height_steps
 from cstack.metrics import DATA_BYTES, MemoryMeter, resolve_p
 from cstack.problems import TestRun, UpperHull
-from cstack.runner import LineSource, Runner, TwinStack, run_checked
+from cstack.runner import LineSource, Runner
 from cstack.bench import ensure_input, execute_run
 
 from helpers import ProbedTestRun, pairs_to_text, random_trace
@@ -44,7 +45,6 @@ def twin_run(algo_cls, text, n, p, k):
     compressed = CompressedStack(n, p, k, meter=meter)
     twin = TwinStack(ClassicStack(), compressed, deep=False)
     runner = Runner(algo_cls(), LineSource.from_text(text), twin)
-    compressed.replay = runner.replay_segment
     return runner.run(), twin
 
 

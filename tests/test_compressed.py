@@ -130,13 +130,19 @@ class TestTopAndBuffer:
 
 
 class ProbingTestRun(TestRun):
-    """A k=2 TestRun whose push condition probes top(2) and ignores it."""
+    """A k=2 TestRun whose push condition probes top(k) and ignores it."""
 
     k = 2
 
     def push_condition(self, payload, ctx, top):
-        top.top(2)
+        top.top(self.k)
         return True
+
+
+class DeepProbingTestRun(ProbingTestRun):
+    """Probes top(3): two-entry floors, read two deep below a run."""
+
+    k = 3
 
 
 def test_k2_probe_after_pops_reads_a_full_floor():
@@ -175,13 +181,15 @@ class TestOracleEquivalence:
     def test_random_traces_deep_checked(self, data):
         # k=2 stacks keep a one-entry floor per run; a k=2 stack under the
         # plain k=1 TestRun is never probed, so only a push that starts a
-        # run rebuilds the top, to copy its floor
+        # run rebuilds the top, to copy its floor.  At k=3 a probe can reach
+        # two entries below a run, and a run that starts with fewer than two
+        # entries live in a replay tops its floor up from the scratch's own.
         n = data.draw(st.integers(min_value=1, max_value=120))
         rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
         pairs = random_trace(rng, n)
         p = data.draw(st.sampled_from([2, 3, 5, 8]))
-        algo = data.draw(st.sampled_from([TestRun, ProbingTestRun]))()
-        k = data.draw(st.sampled_from(sorted({algo.k, 2})))
+        algo = data.draw(st.sampled_from([TestRun, ProbingTestRun, DeepProbingTestRun]))()
+        k = max(algo.k, data.draw(st.sampled_from([1, 2])))
         result, twin = run_twin_testrun(pairs, p=p, k=k, deep=True, algo=algo)
         pop_seq, final = replay_testrun(pairs)
         assert result.report == [str(v) for v in reversed(final)]
@@ -196,7 +204,7 @@ def test_held_blocks_keep_the_twin_clean(data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
     pairs = random_trace(rng, n)
     p = data.draw(st.integers(min_value=2, max_value=5))
-    algo = data.draw(st.sampled_from([TestRun, ProbingTestRun]))()
+    algo = data.draw(st.sampled_from([TestRun, ProbingTestRun, DeepProbingTestRun]))()
     n_expect = data.draw(st.sampled_from([n // 4, n, 4 * n]))
     result, twin = run_twin_testrun(pairs, p=p, n_expect=n_expect, k=algo.k,
                                     deep=True, algo=algo)
@@ -458,6 +466,13 @@ def test_dispose_returns_all_bytes():
     assert cs.len() == 0
     assert cs.top(1) is None  # as the classic stack after dispose
     cs.check_invariants()
+    # a disposed stack takes pushes as a new one does and frees them again
+    cs.push(entry(1))
+    cs.push(entry(2))
+    assert cs.len() == 2 and cs.top(1) == entry(2)
+    cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
 
 
 # Counters of the reference implementation on fixed inputs (n=2^11, seed 0,

@@ -89,6 +89,11 @@ def test_meter_counts_entries():
     assert meter.live_bytes == 9 * DATA_BYTES
     s.dispose()
     assert meter.live_bytes == 0
+    # a disposed stack takes pushes as a new one does and frees them again
+    s.push(entry(1))
+    assert meter.live_bytes == DATA_BYTES
+    s.dispose()
+    assert meter.live_bytes == 0
 
 
 def test_meter_defaults_to_a_fresh_one():

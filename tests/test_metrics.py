@@ -2,9 +2,9 @@ import pytest
 
 from cstack.core import AccountingError, ClassicStack, Data
 from cstack.metrics import (
-    BUFFER_SLOT_BYTES,
     DATA_BYTES,
     SIG_BYTES,
+    SLOT_BYTES,
     MemoryMeter,
     RunMetrics,
     resolve_p,
@@ -79,7 +79,7 @@ class TestMeter:
         meter.alloc_data()
         meter.alloc_sig()
         meter.alloc_slot()
-        assert meter.live_bytes == DATA_BYTES + SIG_BYTES + BUFFER_SLOT_BYTES
+        assert meter.live_bytes == DATA_BYTES + SIG_BYTES + SLOT_BYTES
 
 
 def test_metrics_csv_fields():

@@ -5,20 +5,13 @@ import re
 
 import pytest
 
+from cstack.checker import DivergenceError, TwinStack, run_checked
 from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack, ContractError, Data, DeterminismError
 from cstack.generators import GenSpec, generate
 from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun, UpperHull
-from cstack.runner import (
-    DivergenceError,
-    LineCursor,
-    LineSource,
-    ParseError,
-    Runner,
-    TwinStack,
-    run_checked,
-)
+from cstack.runner import LineCursor, LineSource, ParseError, Runner
 
 from helpers import pairs_to_text, random_trace
 
@@ -256,7 +249,6 @@ class TestChecker:
         twin = TwinStack(ClassicStack(), compressed, deep=True)
         algo.twin = twin
         runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), twin)
-        compressed.replay = runner.replay_segment
         with pytest.raises(DivergenceError) as exc:
             runner.run()
         assert exc.value.ordinal > 0
