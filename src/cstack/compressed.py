@@ -3,17 +3,17 @@
 The input positions 1..n are cut into blocks, each block into sub-blocks, and
 so on for h levels; a level-1 block holds roughly n/p positions and the block
 size shrinks by a factor p per level.  Every level keeps two blocks in some
-detail: the block being pushed to and the one before it, as Barba et al.'s
-compressed stack does.  At level 1 these are `first`, the push target, and
-`second`, its predecessor, and older blocks survive as one signature each in
-the tail: three regions of one list of groups.  Inside `first` and `second`,
-every deeper level c keeps its finished blocks as one signature each, except
-the previous one, which is held as its parts: the signatures of its
-level-(c+1) sub-blocks, or at the deepest level its surviving entries, the
-previous run.  A held block is folded into one signature when a third block
-of its level starts; `first` also folds those of its middle levels when it
-becomes `second`.  So a pop that empties a block finds its predecessor one
-level finer instead of replaying all of it.
+detail, the newest with survivors and the one before it, as Barba et al.'s
+compressed stack does.  At level 1 these are `first` and `second`, and
+older blocks survive as one signature each in the tail: three regions of
+one list of groups.  Inside `first` and `second`, every deeper level c
+keeps its finished blocks as one signature each, except the previous one,
+which is held as its parts: the signatures of its level-(c+1) sub-blocks,
+or at the deepest level its surviving entries, the previous run.  A held
+block is folded into one signature when a third block of its level starts;
+`first` also folds those of its middle levels when it becomes `second`.
+So a pop that empties a block promotes its predecessor one level finer
+instead of replaying all of it, and at level 1 `second` moves up.
 
 A signature records the index range and number of its surviving entries, the
 full bottom entry (payload plus restart snapshot), and a floor: copies of
@@ -69,6 +69,9 @@ class PartitionGeometry:
 
     @classmethod
     def for_input(cls, n_expect: int, p: int) -> "PartitionGeometry":
+        for name, value in (("n_expect", n_expect), ("p", p)):
+            if value is None:
+                raise ContractError(f"{name} is required when no geometry is given")
         if p < 2:
             raise ContractError(f"space parameter p must be at least 2, got {p}")
         if n_expect < 1:
@@ -163,11 +166,12 @@ class CompressedStack(StackInterface):
     of that same parent, kept as its parts: at most p signatures of its
     level-(c+1) sub-blocks, or for c = h a run of its entries, the previous
     run.  The parts of the group at base+j are at level (j+1)//2 + 2,
-    entries counting as level h+1.  The explicit run holds the survivors of
-    the deepest block last pushed to; with h = 1 it is the region's only
-    group.  Pushes go to `first`'s run, the last group; `ref_index` is an
-    index in its deepest block, and starts below the origin so that the
-    first push crosses a level-1 boundary.
+    entries counting as level h+1.  `second`'s region is held[1], the
+    previous level-1 block.  `first`'s explicit run, the last group, is the
+    run slot: pushes go there, and it holds the top entry; with h = 1 it is
+    the region's only group.  `ref_index` is an index in the run slot's
+    deepest block, and starts below the origin so that the first push
+    crosses a level-1 boundary.
 
     `replay` is a callable (scratch_stack, bottom_entry, last_index) -> None
     that re-runs the owning algorithm's hook loop over one block's input
@@ -195,10 +199,7 @@ class CompressedStack(StackInterface):
         k: int = 1,
         *,
         meter: MemoryMeter | None = None,
-        replay: Callable | None = None,
         geometry: PartitionGeometry | None = None,
-        floor: tuple[Data, ...] = (),
-        guard_index: int | None = None,
     ):
         if geometry is None:
             geometry = PartitionGeometry.for_input(n_expect, p)
@@ -207,9 +208,9 @@ class CompressedStack(StackInterface):
         self.geom = geometry
         self.k = k
         self.meter = meter if meter is not None else MemoryMeter()
-        self.replay = replay
-        self.floor = tuple(floor)
-        self.guard_index = guard_index
+        self.replay: Callable | None = None
+        self.floor: tuple[Data, ...] = ()
+        self.guard_index: int | None = None
         self._reset()
 
     def _reset(self) -> None:
@@ -276,9 +277,6 @@ class CompressedStack(StackInterface):
         meter = self.meter
         meter.free_data()
         meter.free_slot()
-        if not run and run is not self.lists[-1]:
-            # `second`'s run emptied: the run slot keeps its floor, the new top
-            self.lists[-1].floor, run.floor = run.floor, ()
         self.live -= 1
         return d
 
@@ -420,16 +418,17 @@ class CompressedStack(StackInterface):
     # -- reconstruction -------------------------------------------------------
 
     def _top_run(self) -> Run:
-        """The run holding the top entry, rebuilt in detail.
+        """The run slot, rebuilt in detail so that it holds the top entry.
 
-        The top sits in the topmost non-empty group; the tail's newest
-        signature is expanded into `second`'s region, empty then.  A held
-        group is promoted into the group above it, since the active block of
-        its level is empty: a previous run becomes the explicit run without a
-        replay, and of a held list only the newest sub-block is expanded.
-        Otherwise the group's newest signature is expanded.  `ref_index`
-        follows the top only inside `first`: an emptied `first` still holds
-        the block of the last push, which the next push is compared against.
+        The top sits in the topmost non-empty group.  When that group is in
+        `second`'s region, `first`'s is empty, and `second`, held[1], the
+        previous level-1 block, is promoted into its place.  The tail's
+        newest signature is expanded into `first`'s region, empty then.  A
+        held group is promoted into the group above it, since the active
+        block of its level is empty: a previous run becomes the explicit run
+        without a replay, and of a held list only the newest sub-block is
+        expanded.  Otherwise the group's newest signature is expanded.
+        `ref_index` moves to the top, in the deepest block of the run slot.
         """
         lists = self.lists
         w = len(lists) // 2
@@ -441,27 +440,30 @@ class CompressedStack(StackInterface):
         while not lists[i]:
             i -= 1
         if i == 0:
-            self._expand_into(0, 1, 1)
-            return lists[w]
-        base = 1 if i <= w else w + 1
-        j = i - base
-        if j % 2:
-            lists[i + 1], lists[i] = lists[i], []
-            self.meter.promotions += 1
-            j += 1
-        if j < w - 1:
-            self._expand_into(base + j, j // 2 + 2, base)
-        run = lists[base + w - 1]
-        if base > 1:
-            self.ref_index = run[-1].index
+            self._expand_into(0, 1)
+        else:
+            if i <= w:  # `second` is promoted into `first`'s place
+                lists[w + 1 :] = lists[1 : w + 1]
+                lists[1 : w + 1] = _groups(w)
+                self.meter.promotions += 1
+                i += w
+            j = i - w - 1
+            if j % 2:
+                lists[i + 1], lists[i] = lists[i], []
+                self.meter.promotions += 1
+                j += 1
+            if j < w - 1:
+                self._expand_into(w + 1 + j, j // 2 + 2)
+        run = lists[-1]
+        self.ref_index = run[-1].index
         return run
 
-    def _expand_into(self, src: int, lv: int, base: int) -> None:
+    def _expand_into(self, src: int, lv: int) -> None:
         """Pop the signature of a level-lv block from lists[src] and rebuild
-        the block in detail inside the region at base.
+        the block in detail inside `first`'s region.
 
         A block whose only survivor is its bottom needs no replay: the
-        bottom and its floor become the region's explicit run.  Otherwise the
+        bottom and its floor become the run slot.  Otherwise the
         replay runs on a scratch stack restricted to the signature's block,
         where level i is level lv + i here, and must rebuild exactly the
         signature's survivors, ending on its top entry; the scratch's groups
@@ -472,26 +474,24 @@ class CompressedStack(StackInterface):
         whole and a retry fails the same way.  Both count as a reconstruction.
         """
         lists = self.lists
-        end = base + len(lists) // 2
-        assert not any(lists[base + max(2 * lv - 3, 0) : end])
+        base = len(lists) // 2 + 1
+        assert not any(lists[base + max(2 * lv - 3, 0) :])
         sig = lists[src].pop()
         low = sig.bottom.index
         meter = self.meter
         meter.reconstructions += 1
         if low == sig.last_index:
             meter.free_sig()
-            run = lists[end - 1] = Run((sig.bottom,))
+            run = lists[-1] = Run((sig.bottom,))
             run.floor = sig.floor
             return
         g = self.geom
         scratch = CompressedStack(
-            geometry=g.sub_geometry(lv, g.block_start(low, lv)),
-            k=self.k,
-            meter=meter,
-            replay=self.replay,
-            floor=sig.floor,
-            guard_index=low,
+            geometry=g.sub_geometry(lv, g.block_start(low, lv)), k=self.k, meter=meter
         )
+        scratch.replay = self.replay
+        scratch.floor = sig.floor
+        scratch.guard_index = low
         meter.replay_depth += 1
         if meter.replay_depth > meter.max_replay_depth:
             meter.max_replay_depth = meter.replay_depth
@@ -517,7 +517,7 @@ class CompressedStack(StackInterface):
             inner = groups[len(groups) // 2 + 1 :]  # the scratch's `first`
             if lv < g.h:
                 inner = [groups[0], scratch._split(1, 1)] + inner
-            lists[base + 2 * lv - 2 : end] = inner
+            lists[base + 2 * lv - 2 :] = inner
             scratch.lists = []
             meter.free_sig()
             self._free_entries(1 + len(sig.floor))
@@ -580,14 +580,14 @@ class CompressedStack(StackInterface):
           of at most one deepest block, p entries, plus a floor of f apiece;
         - at most p-1 finished signatures in each done[c], c = 2..h, each a
           bottom plus f floor entries;
-        - a held list on each of the h-2 middle levels 2..h-1, at most p
-          signatures of 1+f entries each.
+        - in `first` only, since demotion folds them, a held list on each of
+          the h-2 middle levels 2..h-1, at most p signatures of 1+f entries.
         """
         g = self.geom
         floor = max(self.k - 1, 0)
         runs = 2 if g.h > 1 else 1
-        sigs = (g.h - 1) * (g.p - 1) + max(g.h - 2, 0) * g.p
-        return 2 * (runs * (g.sizes[-1] + floor) + sigs * (1 + floor))
+        sigs = 2 * (g.h - 1) * (g.p - 1) + max(g.h - 2, 0) * g.p
+        return 2 * runs * (g.sizes[-1] + floor) + sigs * (1 + floor)
 
     def tail_within_cap(self) -> bool:
         if self.degraded:
@@ -615,6 +615,7 @@ class CompressedStack(StackInterface):
         # which only held[h] and the run slot may be
         w = 2 * g.h - 1
         assert len(lists) == 2 * w + 1 and type(lists[0]) is list
+        assert not any(lists[2 : w - 1 : 2])  # `second`: a demoted `first`
         for base in (1, w + 1):
             assert type(lists[base + w - 1]) is Run
             for j, group in enumerate(lists[base : base + w]):

@@ -32,11 +32,11 @@ class MemoryMeter:
     One meter is shared by a stack and every scratch structure its replays
     spawn, so reconstruction memory and nested reconstruction counts all land
     in the same place.  `promotions` counts held blocks made active again
-    once the active block of their level emptied: a held run takes no
-    replay, a held signature list replays only its newest sub-block.
-    `max_replay_depth` is the deepest nesting of replays, `replay_depth` the
-    current one.  Both change only when a block is restored, never per
-    element.
+    once the active block of their level emptied: `second`, the held
+    level-1 block, and a held run take no replay, and a held signature list
+    replays only its newest sub-block.  `max_replay_depth` is the deepest
+    nesting of replays, `replay_depth` the current one.  Both change only
+    when a block is restored, never per element.
     """
 
     __slots__ = (

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cstack.compressed import PartitionGeometry
+from cstack.compressed import CompressedStack, PartitionGeometry
 from cstack.core import ContractError
 
 
@@ -32,6 +32,10 @@ def test_sizes_strictly_decreasing_and_deepest_at_most_p():
 def test_p_below_two_rejected():
     with pytest.raises(ContractError):
         PartitionGeometry.for_input(100, 1)
+    # without a geometry, both sizes are required
+    for args, missing in [((), "n_expect"), ((None, 4), "n_expect"), ((16, None), "p")]:
+        with pytest.raises(ContractError, match=missing):
+            CompressedStack(*args)
 
 
 def test_cross_level_and_block_start():
