@@ -24,6 +24,12 @@ class DivergenceError(AssertionError):
         self.what = what
 
 
+def _key(d: Data | None) -> tuple | None:
+    """What the two stacks must agree on about an entry: only the compressed
+    stack keeps context snapshots, on the entries that start its runs."""
+    return None if d is None else (d.index, d.payload, d.stream_pos)
+
+
 class TwinStack(StackInterface):
     """Drives a classic and a compressed stack in lockstep and compares them.
 
@@ -54,6 +60,15 @@ class TwinStack(StackInterface):
     def replay(self, delegate) -> None:
         self.compressed.replay = delegate
 
+    @property
+    def snapshot(self):
+        """The compressed stack's snapshot callback, which a Runner binds."""
+        return self.compressed.snapshot
+
+    @snapshot.setter
+    def snapshot(self, callback) -> None:
+        self.compressed.snapshot = callback
+
     def push(self, d: Data) -> None:
         self.ordinal += 1
         self.classic.push(d)
@@ -64,7 +79,7 @@ class TwinStack(StackInterface):
         self.ordinal += 1
         a = self.classic.pop()
         b = self.compressed.pop()
-        if a != b:
+        if _key(a) != _key(b):
             raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
         self.verify_now()
         return b
@@ -72,7 +87,7 @@ class TwinStack(StackInterface):
     def top(self, j: int) -> Data | None:
         a = self.classic.top(j)
         b = self.compressed.top(j)
-        if a != b:
+        if _key(a) != _key(b):
             raise DivergenceError(self.ordinal, f"top({j}) returned {b!r}, classic has {a!r}")
         return b
 
@@ -100,13 +115,14 @@ class TwinStack(StackInterface):
                     self.ordinal,
                     f"{kind} entry index {d.index} not live in classic stack",
                 )
-            if entries[i] != d:
+            if _key(entries[i]) != _key(d):
                 raise DivergenceError(
                     self.ordinal,
                     f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
                 )
         run = self.compressed.lists[-1]
-        if not run and run.floor and tuple(entries[-len(run.floor):]) != run.floor:
+        top = entries[-len(run.floor):] if run.floor else []
+        if not run and list(map(_key, top)) != list(map(_key, run.floor)):
             raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
         self.compressed.check_invariants()
 

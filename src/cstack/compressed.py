@@ -175,7 +175,11 @@ class CompressedStack(StackInterface):
 
     `replay` is a callable (scratch_stack, bottom_entry, last_index) -> None
     that re-runs the owning algorithm's hook loop over one block's input
-    range, pushing into the scratch stack; the runner binds it.  `floor` and
+    range, pushing into the scratch stack; the runner binds it.  `snapshot`
+    is a callable () -> context copy that `push` calls for an entry that
+    starts a run: only run bottoms become signature bottoms, the entries a
+    replay restarts from.  The runner binds it for each hook loop; where it
+    is unset, an entry keeps the snapshot it came with.  `floor` and
     `guard_index` are only set on the scratch instances built for replays.
     """
 
@@ -184,6 +188,7 @@ class CompressedStack(StackInterface):
         "k",
         "meter",
         "replay",
+        "snapshot",
         "floor",
         "guard_index",
         "ref_index",
@@ -209,6 +214,7 @@ class CompressedStack(StackInterface):
         self.k = k
         self.meter = meter if meter is not None else MemoryMeter()
         self.replay: Callable | None = None
+        self.snapshot: Callable | None = None
         self.floor: tuple[Data, ...] = ()
         self.guard_index: int | None = None
         self._reset()
@@ -258,6 +264,8 @@ class CompressedStack(StackInterface):
             or (index - g.origin) // s != (self.ref_index - g.origin) // s
         ):
             run = self._start_run(index)
+            if self.snapshot is not None:
+                d = Data(index, d.payload, self.snapshot(), d.stream_pos)
         run.append(d)
         meter = self.meter
         meter.alloc_data()
@@ -428,7 +436,8 @@ class CompressedStack(StackInterface):
         block of its level is empty: a previous run becomes the explicit run
         without a replay, and of a held list only the newest sub-block is
         expanded.  Otherwise the group's newest signature is expanded.
-        `ref_index` moves to the top, in the deepest block of the run slot.
+        `ref_index` moves to the top, in the deepest block of the run slot,
+        before anything moves, so that it stays there when an expansion fails.
         """
         lists = self.lists
         w = len(lists) // 2
@@ -439,6 +448,8 @@ class CompressedStack(StackInterface):
             run.floor = ()
         while not lists[i]:
             i -= 1
+        top = lists[i][-1]
+        self.ref_index = top.index if type(lists[i]) is Run else top.last_index
         if i == 0:
             self._expand_into(0, 1)
         else:
@@ -454,9 +465,7 @@ class CompressedStack(StackInterface):
                 j += 1
             if j < w - 1:
                 self._expand_into(w + 1 + j, j // 2 + 2)
-        run = lists[-1]
-        self.ref_index = run[-1].index
-        return run
+        return lists[-1]
 
     def _expand_into(self, src: int, lv: int) -> None:
         """Pop the signature of a level-lv block from lists[src] and rebuild

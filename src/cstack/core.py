@@ -2,8 +2,9 @@
 
 Both stack implementations store the same entry type so an algorithm can be
 pointed at either one without changes.  An entry carries, besides its payload,
-the restart snapshot (context copy and input position) that the space-bounded
-stack needs to rebuild dropped regions by re-reading the input.
+its input position and, where the space-bounded stack may restart a replay
+from it, a context copy: what that stack needs to rebuild dropped regions by
+re-reading the input.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ class Data(NamedTuple):
 
     index       1-based position of the element in the input.
     payload     problem-specific value.
-    ctx_snapshot  copy of the algorithm context taken just before the push.
+    ctx_snapshot  copy of the algorithm context taken after pre_push, on the
+                entries that start a run of the compressed stack; None on
+                every other entry, and on every entry of the plain stack.
     stream_pos  input cursor position right after this element's line was read.
 
     The snapshot fields let a dropped region be rebuilt later by rerunning the
-    hooks from this element onward; they ride along unused in the plain stack
-    so the two implementations stay interchangeable.  A named tuple: immutable,
-    cheap to build, and equal to any tuple with the same fields.
+    hooks from this element onward; only a run's bottom can become the bottom
+    a replay restarts from.  A named tuple: immutable, cheap to build, and
+    equal to any tuple with the same fields.
     """
 
     index: int

@@ -10,12 +10,16 @@ The run and every replay share one loop, `Runner._scan`: a stack that
 declares an unset `replay` delegate, as the compressed stack does, gets
 `Runner.replay_segment`, and when it needs a folded block back the runner
 re-runs the hooks over that block's input range on an independent cursor,
-against a scratch stack, with a private copy of the context.  A line that
-fails to parse is a ParseError naming its line number, during the run or a
-replay alike.  Conditions must be pure functions of (payload, context, top-k
-view), and the other hooks may mutate the context but nothing else the
-replay can observe.  On every stack, top(j) reads None beyond the stack's
-depth.
+against a scratch stack, with a private copy of the context.  The context
+is copied only where a replay can restart: a stack that declares an unset
+`snapshot` callback, as the compressed stack does, gets one per loop that
+copies the loop's context, and calls it for the pushes that start its runs;
+every other entry, and every entry of the classic stack, carries None as
+its snapshot.  A line that fails to parse is a ParseError naming its line
+number, during the run or a replay alike.  Conditions must be pure
+functions of (payload, context, top-k view), and the other hooks may mutate
+the context but nothing else the replay can observe.  On every stack,
+top(j) reads None beyond the stack's depth.
 """
 
 from __future__ import annotations
@@ -301,46 +305,57 @@ class Runner:
         pre_push = algo.pre_push
         post_push = algo.post_push
         no_push = algo.no_push
-        clone_context = algo.clone_context
         push, pop, length = stack.push, stack.pop, stack.len
         view = TopAccess(stack, algo.k)
         pushes = pops = 0
-        while index != last_index:
-            try:
-                item = read()
-            except UnicodeDecodeError as exc:
-                line = exc.object.decode("utf-8", "backslashreplace").strip()
-                raise ParseError(index + 1, line, "not valid UTF-8") from exc
-            if item is None:
-                if last_index is None:
-                    break
-                raise ParseError(index + 1, "<eof>", "input ended during replay")
-            line, pos = item
-            index += 1
-            self.index = index
-            try:
-                payload = read_input(line, ctx)
-            except ParseError:
-                raise
-            except Exception as exc:
-                raise ParseError(index, line, str(exc)) from exc
-            while length() > 0:
-                if pop_condition(payload, ctx, view):
-                    pre_pop(payload, ctx)
-                    popped = pop()
-                    pops += 1
-                    post_pop(payload, popped, ctx)
+        # A stack that declares an unset `snapshot` calls it for the pushes
+        # whose entry a replay may restart from; it copies this call's context.
+        # Hooks mutate the context but cannot replace it, so a None context
+        # stays None: there is nothing to copy.
+        bound = ctx is not None and getattr(stack, "snapshot", False) is None
+        if bound:
+            clone_context = algo.clone_context
+            stack.snapshot = lambda: clone_context(ctx)
+        try:
+            while index != last_index:
+                try:
+                    item = read()
+                except UnicodeDecodeError as exc:
+                    line = exc.object.decode("utf-8", "backslashreplace").strip()
+                    raise ParseError(index + 1, line, "not valid UTF-8") from exc
+                if item is None:
+                    if last_index is None:
+                        break
+                    raise ParseError(index + 1, "<eof>", "input ended during replay")
+                line, pos = item
+                index += 1
+                self.index = index
+                try:
+                    payload = read_input(line, ctx)
+                except ParseError:
+                    raise
+                except Exception as exc:
+                    raise ParseError(index, line, str(exc)) from exc
+                while length() > 0:
+                    if pop_condition(payload, ctx, view):
+                        pre_pop(payload, ctx)
+                        popped = pop()
+                        pops += 1
+                        post_pop(payload, popped, ctx)
+                    else:
+                        no_pop(payload, ctx)
+                        break
+                if push_condition(payload, ctx, view):
+                    pre_push(payload, ctx)
+                    entry = Data(index, payload, None, pos)
+                    push(entry)
+                    pushes += 1
+                    post_push(entry, ctx)
                 else:
-                    no_pop(payload, ctx)
-                    break
-            if push_condition(payload, ctx, view):
-                pre_push(payload, ctx)
-                entry = Data(index, payload, clone_context(ctx), pos)
-                push(entry)
-                pushes += 1
-                post_push(entry, ctx)
-            else:
-                no_push(payload, ctx)
+                    no_push(payload, ctx)
+        finally:
+            if bound:
+                stack.snapshot = None
         return pushes, pops
 
     def _report(self) -> list[str]:

@@ -377,6 +377,19 @@ class TestReconstruction:
         cs.dispose()
         assert meter.live_bytes == 0
 
+    def test_pushes_after_a_failed_replay_keep_the_layout(self):
+        # The failed expansion had already promoted groups toward the top, so
+        # later pushes must compare against the block that holds the top now,
+        # not the one the last pop left.
+        text = pairs_to_text(random_trace(random.Random(2), 400))
+        cs = CompressedStack(400, 5, k=1)
+        with pytest.raises(DeterminismError, match="range bottom"):
+            Runner(Misfiring(1, 1 / 50, 2), LineSource.from_text(text), cs,
+                   drain_report=False).run()
+        for index in (169, 193, 215, 308, 352):
+            cs.push(entry(index))
+            cs.check_invariants()
+
 
 class Misfiring(TestRun):
     """A TestRun whose pop condition flips its answer at `rate`, so replays

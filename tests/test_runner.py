@@ -197,6 +197,9 @@ def test_hook_order_follows_pop_loop_then_push():
 
 
 def test_context_snapshot_taken_after_pre_push():
+    # The compressed stack keeps a snapshot on the entries that start its
+    # runs, the only ones a replay restarts from, taken after pre_push and
+    # before post_push; the entries pushed onto a run carry none.
     seen = []
 
     class Stamping(TestRun):
@@ -204,12 +207,89 @@ def test_context_snapshot_taken_after_pre_push():
             ctx.remaining_pops = 77
 
         def post_push(self, entry, ctx):
-            seen.append(entry.ctx_snapshot.remaining_pops)
+            snap = stack.top(1).ctx_snapshot
+            seen.append(None if snap is None else snap.remaining_pops)
             ctx.remaining_pops = 0
 
-    src = LineSource.from_text("5,0\n7,0\n")
-    Runner(Stamping(), src, ClassicStack(), drain_report=False).run()
-    assert seen == [77, 77]
+    stack = CompressedStack(9, 3, k=1)  # deepest blocks [1..3], [4..6], [7..9]
+    src = LineSource.from_text(pairs_to_text([(v, 0) for v in range(1, 8)]))
+    Runner(Stamping(), src, stack, drain_report=False).run()
+    assert seen == [77, None, None, 77, None, None, 77]
+
+
+class CountingClones:
+    clones = 0
+
+    def clone_context(self, ctx):
+        self.clones += 1
+        return super().clone_context(ctx)
+
+
+class CountingTestRun(CountingClones, TestRun):
+    pass
+
+
+class CountingHull(CountingClones, UpperHull):
+    pass
+
+
+class CountingReplays(Runner):
+    replays = 0
+
+    def replay_segment(self, scratch, bottom, last_index):
+        self.replays += 1
+        super().replay_segment(scratch, bottom, last_index)
+
+
+def test_classic_run_takes_no_snapshot():
+    algo = CountingTestRun()
+    text = generate(GenSpec("xmas", 1024, 0.0, 0))
+    result = Runner(algo, LineSource.from_text(text), ClassicStack()).run()
+    assert result.metrics.pushes > 0
+    assert algo.clones == 0
+
+
+def test_pushonly_scan_snapshots_once_per_deepest_block():
+    n = 1000
+    algo = CountingTestRun()
+    stack = CompressedStack(n, 4, k=1)
+    text = generate(GenSpec("pushonly", n, 1.0, 0))
+    Runner(algo, LineSource.from_text(text), stack, drain_report=False).run()
+    assert stack.meter.reconstructions == 0
+    s = stack.geom.sizes[-1]
+    assert algo.clones == -(-n // s) < n
+
+
+def test_context_free_algorithm_takes_no_snapshot():
+    # UpperHull's context is None, which no hook can replace: replays
+    # restart from None without any copy taken during the scan.
+    text = generate(GenSpec("points", 2048, 0.0, 3))
+    algo = CountingHull()
+    runner = CountingReplays(algo, LineSource.from_text(text), CompressedStack(2048, 4, k=2))
+    report = runner.run().report
+    assert runner.replays > 0
+    assert algo.clones == runner.replays
+    assert report == Runner(UpperHull(), LineSource.from_text(text), ClassicStack()).run().report
+
+
+@pytest.mark.parametrize("p", [2, 4, 32])
+def test_snapshots_are_run_starts_plus_one_per_replay(monkeypatch, p):
+    starts = []
+    start_run = CompressedStack._start_run
+
+    def counting(self, index):
+        if self.snapshot is not None:  # a replay's seeded bottom has its own
+            starts.append(index)
+        return start_run(self, index)
+
+    monkeypatch.setattr(CompressedStack, "_start_run", counting)
+    algo = CountingTestRun()
+    text = generate(GenSpec("xmas", 2048, 0.0, 1))
+    runner = CountingReplays(algo, LineSource.from_text(text), CompressedStack(2048, p, k=1))
+    result = runner.run()
+    assert runner.replays > 0
+    assert algo.clones == len(starts) + runner.replays
+    assert len(starts) < result.metrics.pushes
 
 
 def test_cursor_reopens_at_saved_positions():
