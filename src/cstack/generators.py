@@ -103,34 +103,6 @@ def _gen_xmas(spec: GenSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def xmas_height_steps(n: int):
-    """Yield (elements_processed, cycle_depth, height) for the nested cycles.
-
-    Heights follow the logical schedule in which each completing cycle's drop
-    applies at its own boundary: after element m the pending drops of depth
-    0, 1, ... apply in order, each yielding one step.  Depth -1 tags the
-    height right after the push, before any completion drops.
-    """
-    height = 0
-    for m in range(1, n + 1):
-        height += 1
-        yield m, -1, height
-        depth = 0
-        span = CYCLE
-        drop = UNIT_DROP
-        while m % span == 0:
-            height -= drop
-            yield m, depth, height
-            depth += 1
-            span *= CYCLE
-            drop *= UNIT_DROP
-
-
-def xmas_peak_height(n: int) -> int:
-    """Largest height the nested-cycle schedule reaches over n elements."""
-    return max(h for _, _, h in xmas_height_steps(n))
-
-
 def _gen_points(spec: GenSpec) -> str:
     """n uniform points in the unit square, sorted by strictly increasing x."""
     if spec.n < 2:

@@ -14,6 +14,10 @@ from typing import NamedTuple
 from .core import Data
 from .runner import StackAlgorithm
 
+# Builds a named tuple from a tuple of its fields without the Python-level
+# __new__ that the named tuple's own constructor goes through.
+_new_tuple = tuple.__new__
+
 
 class TestRunPayload(NamedTuple):
     value: int
@@ -38,12 +42,13 @@ class TestRun(StackAlgorithm):
 
     def read_input(self, line: str, ctx) -> TestRunPayload:
         value_s, pops_s = line.split(",")
-        payload = TestRunPayload(int(value_s), int(pops_s))
-        if payload.pops < 0:
+        value = int(value_s)
+        pops = int(pops_s)
+        if pops < 0:
             raise ValueError("pop count must be non-negative")
         if ctx is not None:
-            ctx.remaining_pops = payload.pops
-        return payload
+            ctx.remaining_pops = pops
+        return _new_tuple(TestRunPayload, (value, pops))
 
     def pop_condition(self, payload, ctx, top) -> bool:
         return ctx.remaining_pops > 0
@@ -92,7 +97,7 @@ class UpperHull(StackAlgorithm):
 
     def read_input(self, line: str, ctx) -> Point2D:
         x_s, y_s = line.split(",")
-        return Point2D(float(x_s), float(y_s))
+        return _new_tuple(Point2D, (float(x_s), float(y_s)))
 
     def pop_condition(self, payload: Point2D, ctx, top) -> bool:
         last = top.top(1)

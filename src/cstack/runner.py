@@ -9,8 +9,10 @@ entries, and drains the stack into the report when the input ends.
 The run and every replay share one loop, `Runner._scan`: a stack that
 declares an unset `replay` delegate, as the compressed stack does, gets
 `Runner.replay_segment`, and when it needs a folded block back the runner
-re-runs the hooks over that block's input range on an independent cursor,
-against a scratch stack, with a private copy of the context.  The context
+re-runs the hooks over that block's input range, against a scratch stack,
+with a private copy of the context, through a cursor nested in the one it
+interrupts: a LineSource opens its input once, and each cursor checks that
+the open file's size and modification time have not changed.  The context
 is copied only where a replay can restart: a stack that declares an unset
 `snapshot` callback, as the compressed stack does, gets one per loop that
 copies the loop's context, and calls it for the pushes that start its runs;
@@ -85,8 +87,10 @@ class StackAlgorithm:
         return None
 
     def clone_context(self, ctx: Any) -> Any:
-        """O(1) copy of the context; override when copy.copy is too generic."""
-        return copy.copy(ctx)
+        """Independent copy of the context: a deep copy, so a snapshot shares
+        no mutable state with the live context.  Override it with a cheaper
+        copy that still shares nothing a hook mutates."""
+        return copy.deepcopy(ctx)
 
     def read_input(self, line: str, ctx: Any) -> Any:
         raise NotImplementedError
@@ -120,20 +124,27 @@ class StackAlgorithm:
 
 
 class LineSource:
-    """Line-oriented input with independent seekable cursors.
+    """Line-oriented input read through one handle by nested cursors.
 
     Cursors skip blank lines and '#' comment lines; positions refer to the
     underlying byte stream, so a cursor opened at a saved position re-reads
-    exactly the bytes that followed it.  The content must not change during a
-    run: a file's size and modification time are recorded when its first
-    cursor opens, and a later cursor that finds them changed raises
-    DeterminismError instead of replaying other lines.
+    exactly the bytes that followed it.  The file, or the in-memory bytes, is
+    opened once, at the first cursor, and every cursor reads through that
+    handle: opening one seeks the handle to its position, and closing it
+    seeks the handle back to where the enclosing cursor stopped.  Replays are
+    synchronous and nested, so only the innermost open cursor reads.  The
+    content must not change during a run: each cursor compares the open
+    file's size and modification time with those its first cursor found, and
+    raises DeterminismError instead of replaying other lines.  A file
+    replaced by rename keeps being read from the original.  The source owns
+    the handle: close it, or use it as a context manager.
     """
 
     def __init__(self, path: str | None = None, data: bytes | None = None):
         self._path = path
         self._data = data
-        self._handles: list = []
+        self._handle = None
+        self._cursors: list[LineCursor] = []
         self._stamp: tuple[int, int] | None = None
 
     @classmethod
@@ -145,32 +156,31 @@ class LineSource:
         return cls(data=text.encode("utf-8"))
 
     def cursor(self, pos: int = 0) -> "LineCursor":
+        handle = self._handle
         if self._path is not None:
-            handle = open(self._path, "rb")
+            if handle is None:
+                handle = self._handle = open(self._path, "rb")
             st = os.fstat(handle.fileno())
             stamp = (st.st_size, st.st_mtime_ns)
             if self._stamp is None:
                 self._stamp = stamp
             elif stamp != self._stamp:
-                handle.close()
                 raise DeterminismError(
                     f"input {self._path} changed during the run: (size, mtime_ns) "
                     f"{self._stamp} -> {stamp}"
                 )
-        else:
-            handle = io.BytesIO(self._data)
-        if pos:
-            handle.seek(pos)
-        self._handles.append(handle)
-        return LineCursor(handle, self._handles)
+        elif handle is None:
+            handle = self._handle = io.BytesIO(self._data)
+        handle.seek(pos)
+        cursor = LineCursor(handle, self)
+        self._cursors.append(cursor)
+        return cursor
 
     def close(self) -> None:
-        for h in self._handles:
-            try:
-                h.close()
-            except Exception:
-                pass
-        self._handles.clear()
+        self._cursors.clear()
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __enter__(self):
         return self
@@ -180,12 +190,19 @@ class LineSource:
 
 
 class LineCursor:
-    __slots__ = ("_handle", "_pos", "_registry")
+    """Reads data lines from a handle, remembering where it stopped.
 
-    def __init__(self, handle, registry=None):
+    A cursor of a LineSource shares the source's handle; closing it hands
+    the handle back to the enclosing cursor.  A cursor built on a handle of
+    its own closes that handle.
+    """
+
+    __slots__ = ("_handle", "_pos", "_source")
+
+    def __init__(self, handle, source: LineSource | None = None):
         self._handle = handle
         self._pos = handle.tell()
-        self._registry = registry
+        self._source = source
 
     def read(self) -> tuple[str, int] | None:
         """Next data line and the byte position just after it, or None at EOF."""
@@ -210,12 +227,15 @@ class LineCursor:
             return line, pos
 
     def close(self) -> None:
-        self._handle.close()
-        if self._registry is not None:
-            try:
-                self._registry.remove(self._handle)
-            except ValueError:
-                pass
+        source = self._source
+        if source is None:
+            self._handle.close()
+            return
+        cursors = source._cursors
+        if self in cursors:
+            cursors.remove(self)
+            if cursors:
+                self._handle.seek(cursors[-1]._pos)
 
 
 @dataclass
@@ -307,6 +327,9 @@ class Runner:
         no_push = algo.no_push
         push, pop, length = stack.push, stack.pop, stack.len
         view = TopAccess(stack, algo.k)
+        # Data's generated __new__ only packs its four arguments; the literal
+        # below packs them without the Python-level call.
+        new_tuple = tuple.__new__
         pushes = pops = 0
         # A stack that declares an unset `snapshot` calls it for the pushes
         # whose entry a replay may restart from; it copies this call's context.
@@ -347,7 +370,7 @@ class Runner:
                         break
                 if push_condition(payload, ctx, view):
                     pre_push(payload, ctx)
-                    entry = Data(index, payload, None, pos)
+                    entry = new_tuple(Data, (index, payload, None, pos))
                     push(entry)
                     pushes += 1
                     post_push(entry, ctx)

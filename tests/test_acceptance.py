@@ -14,14 +14,14 @@ import pytest
 from cstack.checker import TwinStack, run_checked
 from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack
-from cstack.generators import GenSpec, generate, xmas_height_steps
+from cstack.generators import GenSpec, generate
 from cstack.metrics import DATA_BYTES, MemoryMeter, resolve_p
 from cstack.problems import TestRun, UpperHull
 from cstack.runner import LineSource, Runner
 from cstack.bench import ensure_input, execute_run
 
 from helpers import ProbedTestRun, pairs_to_text, random_trace
-from oracles import replay_testrun, upper_hull_chain
+from oracles import replay_testrun, upper_hull_chain, xmas_height_steps
 
 CAP_EVIDENCE = {"suite1": 0, "suite2": 0, "suite3": 0}
 

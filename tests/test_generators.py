@@ -1,15 +1,9 @@
 import math
 import random
 
-from cstack.generators import (
-    GenSpec,
-    cycle_pops_after,
-    generate,
-    xmas_height_steps,
-    xmas_peak_height,
-)
+from cstack.generators import GenSpec, cycle_pops_after, generate
 
-from oracles import replay_testrun
+from oracles import replay_testrun, xmas_height_steps, xmas_peak_height
 
 
 def data_lines(text):

@@ -1,7 +1,9 @@
+import builtins
 import io
 import os
 import random
 import re
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -11,7 +13,7 @@ from cstack.core import ClassicStack, ContractError, Data, DeterminismError
 from cstack.generators import GenSpec, generate
 from cstack.metrics import MemoryMeter
 from cstack.problems import TestRun, UpperHull
-from cstack.runner import LineCursor, LineSource, ParseError, Runner
+from cstack.runner import LineCursor, LineSource, ParseError, Runner, StackAlgorithm
 
 from helpers import pairs_to_text, random_trace
 
@@ -292,6 +294,79 @@ def test_snapshots_are_run_starts_plus_one_per_replay(monkeypatch, p):
     assert len(starts) < result.metrics.pushes
 
 
+def test_run_opens_its_input_once(tmp_path, monkeypatch):
+    path = tmp_path / "xmas.txt"
+    generate(GenSpec("xmas", 4096, 0.0, 3, str(path)))
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with LineSource.from_path(path) as source:
+        result = Runner(TestRun(), source, CompressedStack(4096, 8, 1)).run()
+    assert result.metrics.reconstructions > 0
+    assert len(opens) == 1
+
+
+def test_input_replaced_by_rename_is_read_from_the_original(tmp_path):
+    # The replacement holds other values, so a replay that read it would
+    # rebuild other entries than the scan pushed.
+    path = tmp_path / "xmas.txt"
+    text = generate(GenSpec("xmas", 4096, 0.0, 3, str(path)))
+    expected = Runner(TestRun(), LineSource.from_text(text), ClassicStack()).run().report
+    cs = CompressedStack(4096, 8, 1)
+    with LineSource.from_path(path) as source:
+        runner = Runner(TestRun(), source, cs, drain_report=False)
+        runner.run()
+        st = os.stat(path)
+        other = tmp_path / "other.txt"
+        other.write_text(text.replace(",", "1,"))
+        os.utime(other, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        os.replace(other, path)
+        report = []
+        while cs.len():
+            report.append(str(cs.pop().payload.value))
+    assert runner.meter.reconstructions > 0
+    assert report == expected
+
+
+def test_default_clone_context_shares_no_state_with_the_live_context():
+    # post_push mutates a list in the context in place; a shallow snapshot
+    # would share it, and replays would restart from the live count.
+    @dataclass
+    class SeenContext:
+        remaining_pops: int = 0
+        seen: list = field(default_factory=lambda: [0])
+
+    class SeenRun(StackAlgorithm):
+        def initialize(self):
+            return SeenContext()
+
+        def read_input(self, line, ctx):
+            value, pops = map(int, line.split(","))
+            ctx.remaining_pops = pops
+            return value, ctx.seen[0]
+
+        def pop_condition(self, payload, ctx, top):
+            return ctx.remaining_pops > 0
+
+        def post_pop(self, payload, popped, ctx):
+            ctx.remaining_pops -= 1
+
+        def post_push(self, entry, ctx):
+            ctx.seen[0] += 1
+
+    text = generate(GenSpec("xmas", 4096, 0.0, 3))
+    classic = Runner(SeenRun(), LineSource.from_text(text), ClassicStack()).run()
+    compressed = Runner(SeenRun(), LineSource.from_text(text), CompressedStack(4096, 8, 1)).run()
+    assert compressed.metrics.reconstructions > 0
+    assert compressed.report == classic.report
+
+
 def test_cursor_reopens_at_saved_positions():
     src = LineSource.from_text("a,0\nb,0\nc,0\n".replace("a", "1").replace("b", "2").replace("c", "3"))
     cur = src.cursor(0)
@@ -299,6 +374,11 @@ def test_cursor_reopens_at_saved_positions():
     line2, pos2 = cur.read()
     again = src.cursor(pos1)
     assert again.read() == (line2, pos2)
+    line3, pos3 = again.read()
+    again.close()
+    # the outer cursor resumes where it stopped, not where the nested one did
+    assert cur.read() == (line3, pos3)
+    assert cur.read() is None
     src.close()
 
 
@@ -378,7 +458,10 @@ def test_cursor_closed_when_a_hook_raises(stack):
     src = LineSource.from_text("2,0\n1,5\n3,1\n")
     with pytest.raises(ValueError, match="not sorted"):
         Runner(UpperHull(), src, stack).run()
-    assert src._handles == []
+    assert src._cursors == []
+    handle = src._handle
+    src.close()
+    assert handle.closed and src._handle is None
 
 
 class TestTopView:
