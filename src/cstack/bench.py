@@ -23,23 +23,18 @@ DESK_CAP = 2 ** 22
 CSV_HEADER = ["size", "p", "time_s", "peak_bytes", "reconstructions", "final_stack_len"]
 
 
-def build_stack(kind: str, *, n_expect: int, p: int | None = None, k: int = 1):
-    if kind == "classic":
-        return ClassicStack()
-    if kind == "compressed":
-        if p is None:
-            raise ValueError("compressed stack needs a space parameter p")
-        return CompressedStack(n_expect, p, k)
-    raise ValueError(f"unknown stack kind: {kind!r}")
-
-
 def execute_run(problem: str, source: LineSource, stack_kind: str, *,
                 n_expect: int, p: int | None = None, k: int | None = None,
                 collect_report: bool = True, drain_report: bool = True) -> RunResult:
     algo = PROBLEMS[problem]()
     if k is not None:
         algo.k = k
-    stack = build_stack(stack_kind, n_expect=n_expect, p=p, k=algo.k)
+    if stack_kind == "classic":
+        stack = ClassicStack()
+    elif stack_kind == "compressed":
+        stack = CompressedStack(n_expect, p, algo.k)
+    else:
+        raise ValueError(f"unknown stack kind: {stack_kind!r}")
     runner = Runner(algo, source, stack, collect_report=collect_report,
                     drain_report=drain_report)
     result = runner.run()

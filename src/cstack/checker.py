@@ -1,9 +1,12 @@
-"""Lockstep checker: a classic and a compressed stack driven as one.
+"""Lockstep checker: a compressed stack that runs a classic one beside it.
 
-`TwinStack` mirrors every operation onto both stacks and raises
-`DivergenceError` at the first answer they disagree on; `run_checked` runs
-an algorithm over an input that way, with the compressed stack's resident
-copies compared against the classic stack after every push and pop.
+`TwinStack` is a `CompressedStack` that mirrors every operation onto its own
+classic stack and raises `DivergenceError` at the first answer they disagree
+on.  It declares what every compressed stack declares, so a Runner binds its
+replays and snapshots and reads its k, meter and degraded flag as it does
+for any other.  `run_checked` runs an algorithm over an input on a twin,
+with its resident copies compared against the classic stack after every
+push and pop.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import bisect
 
 from .compressed import CompressedStack
-from .core import ClassicStack, Data, StackInterface
+from .core import ClassicStack, Data
+from .metrics import MemoryMeter
 from .runner import LineSource, Runner, StackAlgorithm
 
 
@@ -30,55 +34,37 @@ def _key(d: Data | None) -> tuple | None:
     return None if d is None else (d.index, d.payload, d.stream_pos)
 
 
-class TwinStack(StackInterface):
-    """Drives a classic and a compressed stack in lockstep and compares them.
+class TwinStack(CompressedStack):
+    """A compressed stack checked in lockstep against a classic one.
 
-    Every push/pop/top is mirrored; with deep=True, after each operation all
-    entry copies resident in the compressed structure (explicit runs,
-    signature bottoms, floors) are checked against the classic stack's entry
-    at the same index, and the floor an emptied run slot keeps must be the
-    classic stack's top entries.  Otherwise only the space cap is checked.
+    Built like the compressed stack it is; every push/pop/top/len/dispose
+    also goes to the classic stack, and the answers must agree.  With
+    deep=True, after each push and pop all entry copies resident in the
+    compressed structure (explicit runs, signature bottoms, floors) are
+    checked against the classic stack's entry at the same index, and the
+    floor an emptied run slot keeps must be the classic stack's top entries.
+    Otherwise only the space cap is checked.
     """
 
-    def __init__(self, classic, compressed, deep: bool = False):
-        self.classic = classic
-        self.compressed = compressed
+    __slots__ = ("classic", "deep", "ordinal")
+
+    def __init__(self, n_expect: int, p: int, k: int = 1, *,
+                 meter: MemoryMeter | None = None, deep: bool = False):
+        super().__init__(n_expect, p, k, meter=meter)
+        self.classic = ClassicStack()
         self.deep = deep
         self.ordinal = 0
-        self.meter = compressed.meter
-
-    @property
-    def degraded(self) -> bool:
-        return self.compressed.degraded
-
-    @property
-    def replay(self):
-        """The compressed stack's replay delegate, which a Runner binds."""
-        return self.compressed.replay
-
-    @replay.setter
-    def replay(self, delegate) -> None:
-        self.compressed.replay = delegate
-
-    @property
-    def snapshot(self):
-        """The compressed stack's snapshot callback, which a Runner binds."""
-        return self.compressed.snapshot
-
-    @snapshot.setter
-    def snapshot(self, callback) -> None:
-        self.compressed.snapshot = callback
 
     def push(self, d: Data) -> None:
         self.ordinal += 1
         self.classic.push(d)
-        self.compressed.push(d)
+        super().push(d)
         self.verify_now()
 
     def pop(self) -> Data:
         self.ordinal += 1
         a = self.classic.pop()
-        b = self.compressed.pop()
+        b = super().pop()
         if _key(a) != _key(b):
             raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
         self.verify_now()
@@ -86,29 +72,29 @@ class TwinStack(StackInterface):
 
     def top(self, j: int) -> Data | None:
         a = self.classic.top(j)
-        b = self.compressed.top(j)
+        b = super().top(j)
         if _key(a) != _key(b):
             raise DivergenceError(self.ordinal, f"top({j}) returned {b!r}, classic has {a!r}")
         return b
 
     def len(self) -> int:
         la = self.classic.len()
-        lb = self.compressed.len()
+        lb = super().len()
         if la != lb:
             raise DivergenceError(self.ordinal, f"lengths differ: classic {la}, compressed {lb}")
         return lb
 
     def dispose(self) -> None:
         self.classic.dispose()
-        self.compressed.dispose()
+        super().dispose()
 
     def verify_now(self) -> None:
         if not self.deep:
-            self.compressed.check_space_cap()
+            self.check_space_cap()
             return
         entries = self.classic.entries
         indices = [e.index for e in entries]
-        for kind, d in self.compressed.iter_resident():
+        for kind, d in self.iter_resident():
             i = bisect.bisect_left(indices, d.index)
             if i == len(indices) or indices[i] != d.index:
                 raise DivergenceError(
@@ -120,11 +106,11 @@ class TwinStack(StackInterface):
                     self.ordinal,
                     f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
                 )
-        run = self.compressed.lists[-1]
+        run = self.lists[-1]
         top = entries[-len(run.floor):] if run.floor else []
         if not run and list(map(_key, top)) != list(map(_key, run.floor)):
             raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
-        self.compressed.check_invariants()
+        self.check_invariants()
 
 
 def run_checked(
@@ -132,11 +118,11 @@ def run_checked(
 ) -> tuple[bool, str | None]:
     """Run classic and compressed in lockstep with deep state comparison.
 
-    The compressed stack answers top-k probes to the algorithm's k.  Returns
+    The twin answers top-k probes to the algorithm's k.  Returns
     (True, None) when every check passed, else (False, detail) with the first
     divergence: operation ordinal, entry index, and both values.
     """
-    twin = TwinStack(ClassicStack(), CompressedStack(n_expect, p, algo.k), deep=True)
+    twin = TwinStack(n_expect, p, algo.k, deep=True)
     try:
         Runner(algo, source, twin, collect_report=False).run()
     except DivergenceError as exc:

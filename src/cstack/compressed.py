@@ -173,14 +173,17 @@ class CompressedStack(StackInterface):
     deepest block, and starts below the origin so that the first push
     crosses a level-1 boundary.
 
+    The stack declares `replay` and `snapshot`, and a Runner binds both.
     `replay` is a callable (scratch_stack, bottom_entry, last_index) -> None
     that re-runs the owning algorithm's hook loop over one block's input
-    range, pushing into the scratch stack; the runner binds it.  `snapshot`
-    is a callable () -> context copy that `push` calls for an entry that
-    starts a run: only run bottoms become signature bottoms, the entries a
-    replay restarts from.  The runner binds it for each hook loop; where it
-    is unset, an entry keeps the snapshot it came with.  `floor` and
-    `guard_index` are only set on the scratch instances built for replays.
+    range, pushing into the scratch stack; each Runner built on the stack
+    binds its own, so a disposed stack replays its new runner's input.
+    `snapshot` is a callable () -> context copy that `push` calls for an
+    entry that starts a run: only run bottoms become signature bottoms, the
+    entries a replay restarts from.  The runner binds it for each hook loop;
+    where it is unset, an entry keeps the snapshot it came with.  `floor`
+    and `guard_index` are only set on the scratch instances built for
+    replays.
     """
 
     __slots__ = (

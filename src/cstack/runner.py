@@ -7,13 +7,14 @@ runner executes the loop, feeds the hooks read-only views of the top-k
 entries, and drains the stack into the report when the input ends.
 
 The run and every replay share one loop, `Runner._scan`: a stack that
-declares an unset `replay` delegate, as the compressed stack does, gets
-`Runner.replay_segment`, and when it needs a folded block back the runner
-re-runs the hooks over that block's input range, against a scratch stack,
-with a private copy of the context, through a cursor nested in the one it
-interrupts: a LineSource opens its input once, and each cursor checks that
-the open file's size and modification time have not changed.  The context
-is copied only where a replay can restart: a stack that declares an unset
+declares a `replay` delegate, as the compressed stack does, gets the
+`replay_segment` of each Runner built on it, and when it needs a folded
+block back the runner re-runs the hooks over that block's input range,
+against a scratch stack, with a private copy of the context, through a
+cursor nested in the one it interrupts: a LineSource opens its input once,
+and each cursor checks that the open file's size and modification time
+have not changed.  The context
+is copied only where a replay can restart: a stack that declares a
 `snapshot` callback, as the compressed stack does, gets one per loop that
 copies the loop's context, and calls it for the pushes that start its runs;
 every other entry, and every entry of the classic stack, carries None as
@@ -262,7 +263,7 @@ class Runner:
         self.collect_report = collect_report
         self.drain_report = drain_report
         self.index = 0
-        if getattr(stack, "replay", False) is None:
+        if hasattr(stack, "replay"):
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
 
@@ -331,11 +332,11 @@ class Runner:
         # below packs them without the Python-level call.
         new_tuple = tuple.__new__
         pushes = pops = 0
-        # A stack that declares an unset `snapshot` calls it for the pushes
-        # whose entry a replay may restart from; it copies this call's context.
-        # Hooks mutate the context but cannot replace it, so a None context
-        # stays None: there is nothing to copy.
-        bound = ctx is not None and getattr(stack, "snapshot", False) is None
+        # A stack that declares `snapshot` calls it for the pushes whose entry
+        # a replay may restart from; it copies this call's context.  Hooks
+        # mutate the context but cannot replace it, so a None context stays
+        # None: there is nothing to copy.
+        bound = ctx is not None and hasattr(stack, "snapshot")
         if bound:
             clone_context = algo.clone_context
             stack.snapshot = lambda: clone_context(ctx)

@@ -57,8 +57,7 @@ def run_twin_testrun(pairs, *, p, n_expect=None, k=1, deep=False, drain=True,
     """Run a trace against classic and compressed in lockstep."""
     n_expect = n_expect if n_expect is not None else max(len(pairs), 2)
     meter = MemoryMeter()
-    compressed = CompressedStack(n_expect, p, k, meter=meter)
-    twin = TwinStack(ClassicStack(), compressed, deep=deep)
+    twin = TwinStack(n_expect, p, k, meter=meter, deep=deep)
     runner = Runner(algo or TestRun(), LineSource.from_text(pairs_to_text(pairs)), twin,
                     drain_report=drain)
     result = runner.run()

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from cstack.checker import TwinStack, run_checked
-from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack
 from cstack.generators import GenSpec, generate
 from cstack.metrics import DATA_BYTES, MemoryMeter, resolve_p
@@ -42,8 +41,7 @@ def sample_sizes(rng, count, buckets):
 
 def twin_run(algo_cls, text, n, p, k):
     meter = MemoryMeter()
-    compressed = CompressedStack(n, p, k, meter=meter)
-    twin = TwinStack(ClassicStack(), compressed, deep=False)
+    twin = TwinStack(n, p, k, meter=meter, deep=False)
     runner = Runner(algo_cls(), LineSource.from_text(text), twin)
     return runner.run(), twin
 

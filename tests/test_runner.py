@@ -367,6 +367,27 @@ def test_default_clone_context_shares_no_state_with_the_live_context():
     assert compressed.report == classic.report
 
 
+def test_a_disposed_stack_replays_its_new_runners_input():
+    # dispose() leaves a stack that takes pushes as a new one does, so a
+    # second Runner on it replays its own input.  The two inputs share the
+    # pop column and the width of every line, so replays that re-read the
+    # first input would find lines at the same offsets and raise nothing.
+    text = generate(GenSpec("xmas", 4096, 0.0, 3))
+    pops = [line.split(",")[1] for line in text.splitlines()
+            if line and not line.startswith("#")]
+    first, second = (
+        "".join(f"{base + i},{p}\n" for i, p in enumerate(pops))
+        for base in (100000, 200000)
+    )
+    cs = CompressedStack(4096, 8, 1)
+    Runner(TestRun(), LineSource.from_text(first), cs).run()
+    cs.dispose()
+    result = Runner(TestRun(), LineSource.from_text(second), cs).run()
+    classic = Runner(TestRun(), LineSource.from_text(second), ClassicStack()).run()
+    assert result.metrics.reconstructions > 0
+    assert result.report == classic.report
+
+
 def test_cursor_reopens_at_saved_positions():
     src = LineSource.from_text("a,0\nb,0\nc,0\n".replace("a", "1").replace("b", "2").replace("c", "3"))
     cur = src.cursor(0)
@@ -397,16 +418,14 @@ class TestChecker:
         class Sabotage(TestRun):
             def post_push(self, entry, ctx):
                 if entry.index == 7:
-                    stack = self.twin.compressed
                     bad = Data(entry.index, type(entry.payload)(999999, 0),
                                entry.ctx_snapshot, entry.stream_pos)
-                    stack.lists[-1][-1] = bad
+                    self.twin.lists[-1][-1] = bad
 
         pairs = [(i, 0) for i in range(1, 17)]
         algo = Sabotage()
         meter = MemoryMeter()
-        compressed = CompressedStack(16, 2, 1, meter=meter)
-        twin = TwinStack(ClassicStack(), compressed, deep=True)
+        twin = TwinStack(16, 2, 1, meter=meter, deep=True)
         algo.twin = twin
         runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), twin)
         with pytest.raises(DivergenceError) as exc:
@@ -478,15 +497,18 @@ class TestTopView:
 
     @pytest.mark.parametrize(
         "stack",
-        [ClassicStack(), CompressedStack(16, 2, 1), CompressedStack(16, 2, 2)],
-        ids=["classic", "compressed-k1", "compressed-k2"],
+        [ClassicStack(), CompressedStack(16, 2, 1), CompressedStack(16, 2, 2),
+         TwinStack(16, 2, 1), TwinStack(16, 2, 2)],
+        ids=["classic", "compressed-k1", "compressed-k2", "twin-k1", "twin-k2"],
     )
     def test_probe_beyond_declared_depth_is_refused(self, stack):
         src = LineSource.from_text("5,0\n7,0\n")
         with pytest.raises(ContractError):
             Runner(self.Probing(1, []), src, stack).run()
 
-    @pytest.mark.parametrize("stack", _k2_stacks(), ids=["classic", "compressed"])
+    @pytest.mark.parametrize(
+        "stack", _k2_stacks() + [TwinStack(16, 2, 2)], ids=["classic", "compressed", "twin"]
+    )
     def test_probe_deeper_than_the_stack_reads_none(self, stack):
         probes = []
         src = LineSource.from_text("5,0\n7,0\n9,0\n")
