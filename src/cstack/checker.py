@@ -12,6 +12,7 @@ push and pop.
 from __future__ import annotations
 
 import bisect
+import operator
 
 from .compressed import CompressedStack
 from .core import ClassicStack, Data
@@ -93,10 +94,10 @@ class TwinStack(CompressedStack):
             self.check_space_cap()
             return
         entries = self.classic.entries
-        indices = [e.index for e in entries]
+        index_of = operator.attrgetter("index")
         for kind, d in self.iter_resident():
-            i = bisect.bisect_left(indices, d.index)
-            if i == len(indices) or indices[i] != d.index:
+            i = bisect.bisect_left(entries, d.index, key=index_of)
+            if i == len(entries) or entries[i].index != d.index:
                 raise DivergenceError(
                     self.ordinal,
                     f"{kind} entry index {d.index} not live in classic stack",

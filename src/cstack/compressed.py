@@ -481,9 +481,9 @@ class CompressedStack(StackInterface):
         signature's survivors, ending on its top entry; the scratch's groups
         then replace the region's from done[lv+1] up: its tail, its `second`
         split into sub-blocks as held[lv+1], then the groups of its `first`.
-        The scratch is released whether or not the replay succeeds; on
-        failure the signature goes back to lists[src], so the stack stays
-        whole and a retry fails the same way.  Both count as a reconstruction.
+        Only a failed replay releases the scratch; it also puts the
+        signature back to lists[src], so the stack stays whole and a retry
+        fails the same way.  Both count as a reconstruction.
         """
         lists = self.lists
         base = len(lists) // 2 + 1
@@ -524,18 +524,16 @@ class CompressedStack(StackInterface):
                 raise StackError("level-h replay produced sub-block signatures")
         except BaseException:
             lists[src].append(sig)
+            scratch.dispose()
             raise
-        else:
-            inner = groups[len(groups) // 2 + 1 :]  # the scratch's `first`
-            if lv < g.h:
-                inner = [groups[0], scratch._split(1, 1)] + inner
-            lists[base + 2 * lv - 2 :] = inner
-            scratch.lists = []
-            meter.free_sig()
-            self._free_entries(1 + len(sig.floor))
         finally:
             meter.replay_depth -= 1
-            scratch.dispose()
+        inner = groups[len(groups) // 2 + 1 :]  # the scratch's `first`
+        if lv < g.h:
+            inner = [groups[0], scratch._split(1, 1)] + inner
+        lists[base + 2 * lv - 2 :] = inner
+        meter.free_sig()
+        self._free_entries(1 + len(sig.floor))
 
     def _peek_top(self, j: int) -> list[Data]:
         """Top j entries, bottom to top, materializing detail as needed."""

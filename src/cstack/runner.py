@@ -12,14 +12,14 @@ declares a `replay` delegate, as the compressed stack does, gets the
 block back the runner re-runs the hooks over that block's input range,
 against a scratch stack, with a private copy of the context, through a
 cursor nested in the one it interrupts: a LineSource opens its input once,
-and each cursor checks that the open file's size and modification time
-have not changed.  The context
-is copied only where a replay can restart: a stack that declares a
-`snapshot` callback, as the compressed stack does, gets one per loop that
-copies the loop's context, and calls it for the pushes that start its runs;
-every other entry, and every entry of the classic stack, carries None as
-its snapshot.  A line that fails to parse is a ParseError naming its line
-number, during the run or a replay alike.  Conditions must be pure
+each cursor checks that the open file's size and modification time have
+not changed, and closing a cursor puts the handle back where it found it.
+The context is copied only where a replay can restart: a stack that
+declares a `snapshot` callback, as the compressed stack does, gets one per
+loop that copies the loop's context, and calls it for the pushes that start
+its runs; every other entry, and every entry of the classic stack, carries
+None as its snapshot.  A line that fails to parse is a ParseError naming
+its line number, during the run or a replay alike.  Conditions must be pure
 functions of (payload, context, top-k view), and the other hooks may mutate
 the context but nothing else the replay can observe.  On every stack,
 top(j) reads None beyond the stack's depth.
@@ -131,21 +131,21 @@ class LineSource:
     underlying byte stream, so a cursor opened at a saved position re-reads
     exactly the bytes that followed it.  The file, or the in-memory bytes, is
     opened once, at the first cursor, and every cursor reads through that
-    handle: opening one seeks the handle to its position, and closing it
-    seeks the handle back to where the enclosing cursor stopped.  Replays are
-    synchronous and nested, so only the innermost open cursor reads.  The
-    content must not change during a run: each cursor compares the open
-    file's size and modification time with those its first cursor found, and
-    raises DeterminismError instead of replaying other lines.  A file
-    replaced by rename keeps being read from the original.  The source owns
-    the handle: close it, or use it as a context manager.
+    handle: opening one notes where the handle is and seeks it to the
+    cursor's position, and closing it seeks the handle back.  Replays are
+    synchronous and nested, so a cursor opens where the enclosing one
+    stopped, and only the innermost open cursor reads.  The content must
+    not change during a run: each cursor compares the open file's size and
+    modification time with those its first cursor found, and raises
+    DeterminismError instead of replaying other lines.  A file replaced by
+    rename keeps being read from the original.  The source owns the handle:
+    close it, or use it as a context manager.
     """
 
     def __init__(self, path: str | None = None, data: bytes | None = None):
         self._path = path
         self._data = data
         self._handle = None
-        self._cursors: list[LineCursor] = []
         self._stamp: tuple[int, int] | None = None
 
     @classmethod
@@ -172,13 +172,11 @@ class LineSource:
                 )
         elif handle is None:
             handle = self._handle = io.BytesIO(self._data)
+        resume = handle.tell()
         handle.seek(pos)
-        cursor = LineCursor(handle, self)
-        self._cursors.append(cursor)
-        return cursor
+        return LineCursor(handle, resume)
 
     def close(self) -> None:
-        self._cursors.clear()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -193,17 +191,19 @@ class LineSource:
 class LineCursor:
     """Reads data lines from a handle, remembering where it stopped.
 
-    A cursor of a LineSource shares the source's handle; closing it hands
-    the handle back to the enclosing cursor.  A cursor built on a handle of
-    its own closes that handle.
+    A cursor of a LineSource shares the source's handle and keeps the
+    position the handle had when it opened; closing the cursor seeks the
+    handle back there, once, so the enclosing cursor reads on where it
+    stopped.  A cursor built without a resume position leaves the handle
+    where it is.
     """
 
-    __slots__ = ("_handle", "_pos", "_source")
+    __slots__ = ("_handle", "_pos", "_resume")
 
-    def __init__(self, handle, source: LineSource | None = None):
+    def __init__(self, handle, resume: int | None = None):
         self._handle = handle
         self._pos = handle.tell()
-        self._source = source
+        self._resume = resume
 
     def read(self) -> tuple[str, int] | None:
         """Next data line and the byte position just after it, or None at EOF."""
@@ -228,15 +228,9 @@ class LineCursor:
             return line, pos
 
     def close(self) -> None:
-        source = self._source
-        if source is None:
-            self._handle.close()
-            return
-        cursors = source._cursors
-        if self in cursors:
-            cursors.remove(self)
-            if cursors:
-                self._handle.seek(cursors[-1]._pos)
+        resume, self._resume = self._resume, None
+        if resume is not None and not self._handle.closed:
+            self._handle.seek(resume)
 
 
 @dataclass
@@ -262,7 +256,6 @@ class Runner:
         self.stack = stack
         self.collect_report = collect_report
         self.drain_report = drain_report
-        self.index = 0
         if hasattr(stack, "replay"):
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
@@ -274,7 +267,7 @@ class Runner:
         stack = self.stack
         cursor = self.source.cursor(0)
         try:
-            pushes, pops = self._scan(stack, self.algo.initialize(), cursor, self.index, None)
+            pushes, pops = self._scan(stack, self.algo.initialize(), cursor, 0, None)
             final_len = stack.len()
             report = []
             if self.drain_report:
@@ -353,7 +346,6 @@ class Runner:
                     raise ParseError(index + 1, "<eof>", "input ended during replay")
                 line, pos = item
                 index += 1
-                self.index = index
                 try:
                     payload = read_input(line, ctx)
                 except ParseError:
@@ -400,17 +392,15 @@ class Runner:
         snapshot, and resumes reading right after the bottom's line;
         last_index is above bottom.index, as a lone survivor needs no
         replay.  The loop's push and pop counts are dropped, so replays do
-        not inflate the run's; `index` is restored for hooks that read it.
+        not inflate the run's.
         """
         algo = self.algo
         ctx = algo.clone_context(bottom.ctx_snapshot)
         scratch.push(bottom)
         algo.post_push(bottom, ctx)
-        index = self.index
         cursor = self.source.cursor(bottom.stream_pos)
         try:
             self._scan(scratch, ctx, cursor, bottom.index, last_index)
         finally:
-            self.index = index
             cursor.close()
         self.meter.replay_lines += last_index - bottom.index

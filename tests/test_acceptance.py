@@ -121,11 +121,19 @@ def test_criterion_4_nested_cycle_heights():
 
     heights = {}
 
+    class Counted(ProbedTestRun):
+        # a classic stack never replays, so this counts each element once
+        elements = 0
+
+        def read_input(self, line, ctx):
+            self.elements += 1
+            return super().read_input(line, ctx)
+
     def on_pop(runner, popped):
-        heights.setdefault(runner.index, []).append(runner.stack.len())
+        heights.setdefault(algo.elements, []).append(runner.stack.len())
 
     text = generate(GenSpec("xmas", 600, seed=0))
-    algo = ProbedTestRun(on_pop=on_pop)
+    algo = Counted(on_pop=on_pop)
     runner = Runner(algo, LineSource.from_text(text), ClassicStack(), drain_report=False)
     algo._runner = runner
     runner.run()

@@ -377,6 +377,24 @@ class TestReconstruction:
         cs.dispose()
         assert meter.live_bytes == 0
 
+    def test_a_replay_without_a_delegate_raises_and_leaves_the_stack_whole(self):
+        # No runner binds `replay`, so the first pop that reaches a folded
+        # block of more than one survivor cannot rebuild it.
+        meter = MemoryMeter()
+        cs = CompressedStack(16, 2, 1, meter=meter)
+        for i in range(1, 17):
+            cs.push(Data(i, i, None, i))
+        for _ in range(4):
+            cs.pop()
+        with pytest.raises(StackError, match="no replay delegate bound; cannot reconstruct"):
+            cs.pop()
+        assert cs.len() == 12
+        cs.check_invariants()
+        with pytest.raises(StackError, match="no replay delegate bound; cannot reconstruct"):
+            cs.pop()
+        cs.dispose()
+        assert meter.live_bytes == 0
+
     def test_pushes_after_a_failed_replay_keep_the_layout(self):
         # The failed expansion had already promoted groups toward the top, so
         # later pushes must compare against the block that holds the top now,

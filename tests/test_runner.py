@@ -1,4 +1,5 @@
 import builtins
+import copy
 import io
 import os
 import random
@@ -334,37 +335,55 @@ def test_input_replaced_by_rename_is_read_from_the_original(tmp_path):
     assert report == expected
 
 
+@dataclass
+class SeenContext:
+    remaining_pops: int = 0
+    seen: list = field(default_factory=lambda: [0])
+
+
+class SeenRun(StackAlgorithm):
+    """TestRun-like, but each payload also carries the number of pushes so
+    far, which post_push counts in a list that the context holds."""
+
+    def initialize(self):
+        return SeenContext()
+
+    def read_input(self, line, ctx):
+        value, pops = map(int, line.split(","))
+        ctx.remaining_pops = pops
+        return value, ctx.seen[0]
+
+    def pop_condition(self, payload, ctx, top):
+        return ctx.remaining_pops > 0
+
+    def post_pop(self, payload, popped, ctx):
+        ctx.remaining_pops -= 1
+
+    def post_push(self, entry, ctx):
+        ctx.seen[0] += 1
+
+
 def test_default_clone_context_shares_no_state_with_the_live_context():
     # post_push mutates a list in the context in place; a shallow snapshot
     # would share it, and replays would restart from the live count.
-    @dataclass
-    class SeenContext:
-        remaining_pops: int = 0
-        seen: list = field(default_factory=lambda: [0])
-
-    class SeenRun(StackAlgorithm):
-        def initialize(self):
-            return SeenContext()
-
-        def read_input(self, line, ctx):
-            value, pops = map(int, line.split(","))
-            ctx.remaining_pops = pops
-            return value, ctx.seen[0]
-
-        def pop_condition(self, payload, ctx, top):
-            return ctx.remaining_pops > 0
-
-        def post_pop(self, payload, popped, ctx):
-            ctx.remaining_pops -= 1
-
-        def post_push(self, entry, ctx):
-            ctx.seen[0] += 1
-
     text = generate(GenSpec("xmas", 4096, 0.0, 3))
     classic = Runner(SeenRun(), LineSource.from_text(text), ClassicStack()).run()
     compressed = Runner(SeenRun(), LineSource.from_text(text), CompressedStack(4096, 8, 1)).run()
     assert compressed.metrics.reconstructions > 0
     assert compressed.report == classic.report
+
+
+def test_checker_reports_a_shallow_snapshot_as_a_divergence():
+    # With a shallow clone every snapshot shares the live `seen` list, so
+    # the first replay rebuilds payloads that the classic stack never held.
+    class ShallowSeenRun(SeenRun):
+        def clone_context(self, ctx):
+            return copy.copy(ctx)
+
+    text = generate(GenSpec("xmas", 4096, 0.0, 3))
+    ok, detail = run_checked(ShallowSeenRun(), LineSource.from_text(text), 8, n_expect=4096)
+    assert not ok
+    assert detail.startswith("divergence at operation 105: pop returned ")
 
 
 def test_a_disposed_stack_replays_its_new_runners_input():
@@ -386,6 +405,21 @@ def test_a_disposed_stack_replays_its_new_runners_input():
     classic = Runner(TestRun(), LineSource.from_text(second), ClassicStack()).run()
     assert result.metrics.reconstructions > 0
     assert result.report == classic.report
+
+
+def test_cursor_closes_once_and_not_after_its_source():
+    src = LineSource.from_text("1,0\n2,0\n3,0\n")
+    outer = src.cursor(0)
+    _, pos1 = outer.read()
+    inner = src.cursor(pos1)
+    inner.read()
+    inner.close()
+    assert src._handle.tell() == pos1
+    outer.read()
+    inner.close()  # a second close leaves the handle where it is
+    assert outer.read() == ("3,0", src._handle.tell())
+    src.close()
+    outer.close()  # the handle is gone; nothing to hand back
 
 
 def test_cursor_reopens_at_saved_positions():
@@ -433,6 +467,20 @@ class TestChecker:
         assert exc.value.ordinal > 0
         assert "index 7" in str(exc.value)
 
+    def test_resident_entry_missing_from_classic_stack_reported(self):
+        class Sabotage(TestRun):
+            def post_push(self, entry, ctx):
+                if entry.index == 7:
+                    self.twin.lists[-1][-1] = entry._replace(index=1000)
+
+        pairs = [(i, 0) for i in range(1, 17)]
+        algo = Sabotage()
+        twin = TwinStack(16, 2, 1, deep=True)
+        algo.twin = twin
+        runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), twin)
+        with pytest.raises(DivergenceError, match="index 1000 not live in classic stack"):
+            runner.run()
+
     def test_upperhull_instances_pass(self):
         from cstack.generators import GenSpec, generate
 
@@ -477,7 +525,7 @@ def test_cursor_closed_when_a_hook_raises(stack):
     src = LineSource.from_text("2,0\n1,5\n3,1\n")
     with pytest.raises(ValueError, match="not sorted"):
         Runner(UpperHull(), src, stack).run()
-    assert src._cursors == []
+    assert src._handle.tell() == 0  # the run's cursor handed the handle back
     handle = src._handle
     src.close()
     assert handle.closed and src._handle is None
