@@ -88,12 +88,15 @@ def write_csv(rows: list[dict], out_path) -> None:
 
 
 def metrics_footer(m: RunMetrics) -> list[str]:
+    """The `run` footer; resident_bound only for a stack that declares one."""
+    bound = [] if m.resident_bound is None else [f"# resident_bound={m.resident_bound}"]
     return [
         f"# time_s={m.wall_seconds:.6f}",
         f"# peak_bytes={m.peak_bytes}",
         f"# reconstructions={m.reconstructions}",
         f"# replay_lines={m.replay_lines}",
         f"# peak_entries={m.peak_entries}",
+        *bound,
         f"# promotions={m.promotions}",
         f"# max_replay_depth={m.max_replay_depth}",
         f"# pushes={m.pushes} pops={m.pops}",

@@ -33,7 +33,7 @@ so resident memory stays bounded even while rebuilding a large block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     ContractError,
@@ -119,8 +119,7 @@ class PartitionGeometry:
 
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSignature:
+class BlockSignature(NamedTuple):
     """O(1) summary of a folded block: surviving range and count, bottom, floor.
 
     The survivors span bottom.index..last_index, and `count` is their number
@@ -128,7 +127,8 @@ class BlockSignature:
     `floor` holds copies of up to k-1 entries directly below `bottom`; they
     are readable during a replay of this block but never poppable.  The
     block's level is where the signature sits: level 1 in the tail, level lv
-    in a region's done[lv] or among the parts of its held[lv-1].
+    in a region's done[lv] or among the parts of its held[lv-1].  A named
+    tuple, as `Data` is; `_merge` builds it with `tuple.__new__`.
     """
 
     last_index: int
@@ -349,8 +349,12 @@ class CompressedStack(StackInterface):
         # A floor copy that rebuilt the run left it in a deepest block before
         # index's, so the crossing moved it away.
         assert not run
-        run.floor = floor
+        # The slot's floor is already () whenever floor is, so an empty one
+        # is not written (that would build the run's instance dict): a
+        # crossing leaves a fresh slot, and _floor_window returns, emptied,
+        # any non-empty floor the slot held.
         if floor:
+            run.floor = floor
             self.meter.alloc_data(len(floor))
             self.meter.alloc_slot(len(floor))
         return run
@@ -379,27 +383,37 @@ class CompressedStack(StackInterface):
         Frees every record the fold drops before allocating the signature;
         the bottom part's bottom and floor records move into it unchanged.
         """
-        groups = [group for group in groups if group]
-        if not groups:
+        low = high = None
+        sigs = entries = count = 0
+        for group in groups:
+            if not group:
+                continue
+            if type(group) is Run:
+                count += len(group)
+                entries += len(group) + len(group.floor)
+            else:
+                sigs += len(group)
+                for sig in group:
+                    count += sig.count
+                    entries += 1 + len(sig.floor)
+            if low is None:
+                low = group
+            high = group
+        if low is None:
             return
-        sigs, entries = self._counts(groups)
-        count = sum(
-            len(group) if type(group) is Run else sum(sig.count for sig in group)
-            for group in groups
-        )
-        low, high = groups[0], groups[-1]
         if type(low) is Run:
             bottom, floor = low[0], low.floor
         else:
             bottom, floor = low[0].bottom, low[0].floor
         last_index = high[-1].index if type(high) is Run else high[-1].last_index
+        meter = self.meter
         if sigs:
-            self.meter.free_sig(sigs)
+            meter.free_sig(sigs)
         entries -= 1 + len(floor)
         if entries:
             self._free_entries(entries)
-        self.meter.alloc_sig()
-        into.append(BlockSignature(last_index, count, bottom, floor))
+        meter.alloc_sig()
+        into.append(tuple.__new__(BlockSignature, (last_index, count, bottom, floor)))
 
     def _floor_window(self) -> tuple[Data, ...]:
         """Up to k-1 entries directly below the next push, bottom to top,

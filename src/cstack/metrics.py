@@ -105,7 +105,9 @@ class RunMetrics:
     `replay_lines` counts input lines re-read by replays; `peak_entries` is
     the most entry records resident at once (`MemoryMeter.peak_data`);
     `promotions` and `max_replay_depth` are the meter's counters of the same
-    names.
+    names.  `resident_bound` is the stack's `resident_data_bound()`, the cap
+    on the entry copies its two detailed regions hold, or None for a stack
+    that declares none.
     """
 
     wall_seconds: float = 0.0
@@ -120,6 +122,7 @@ class RunMetrics:
     peak_entries: int = 0
     promotions: int = 0
     max_replay_depth: int = 0
+    resident_bound: int | None = None
 
     def csv_fields(self) -> dict:
         return {

@@ -78,7 +78,10 @@ class StackAlgorithm:
     """Base hooks. Subclasses set k and override what they need.
 
     Conditions receive `top`, a TopAccess window; positions the stack cannot
-    answer read as None.
+    answer read as None.  The runner does not call a pre/post/no hook, or
+    push_condition, that is left as the base no-op (push_condition: push
+    always); override it in a subclass or set it on the instance before the
+    Runner's loop starts to have it called.
     """
 
     k = 1
@@ -122,6 +125,16 @@ class StackAlgorithm:
 
     def report_line(self, d: Data) -> str:
         return str(d.payload)
+
+
+def _hook(algo: StackAlgorithm, name: str):
+    """algo's hook `name`, or None where it is StackAlgorithm's own no-op
+    (or, for push_condition, its constant True): a hook overridden in a
+    subclass or set on the instance is returned."""
+    hook = getattr(algo, name)
+    if getattr(hook, "__func__", None) is getattr(StackAlgorithm, name):
+        return None
+    return hook
 
 
 class LineSource:
@@ -276,6 +289,7 @@ class Runner:
         finally:
             cursor.close()
         wall = time.perf_counter() - t0
+        bound = getattr(stack, "resident_data_bound", None)
         metrics = RunMetrics(
             wall_seconds=wall,
             peak_bytes=self.meter.peak_bytes,
@@ -289,6 +303,7 @@ class Runner:
             peak_entries=self.meter.peak_data,
             promotions=self.meter.promotions,
             max_replay_depth=self.meter.max_replay_depth,
+            resident_bound=bound() if bound is not None else None,
         )
         return RunResult(metrics=metrics, report=report)
 
@@ -306,19 +321,21 @@ class Runner:
         None and stops at the end of the input; a replay stops after
         last_index and raises ParseError if the input ends first.  Hooks and
         stack operations are looked up once per call, and the conditions
-        share one top-k view.  Returns the (pushes, pops) this call made.
+        share one top-k view; a hook the algorithm leaves as StackAlgorithm's
+        no-op is looked up as None and not called.  Returns the (pushes,
+        pops) this call made.
         """
         algo = self.algo
         read = cursor.read
         read_input = algo.read_input
         pop_condition = algo.pop_condition
-        pre_pop = algo.pre_pop
-        post_pop = algo.post_pop
-        no_pop = algo.no_pop
-        push_condition = algo.push_condition
-        pre_push = algo.pre_push
-        post_push = algo.post_push
-        no_push = algo.no_push
+        pre_pop = _hook(algo, "pre_pop")
+        post_pop = _hook(algo, "post_pop")
+        no_pop = _hook(algo, "no_pop")
+        push_condition = _hook(algo, "push_condition")
+        pre_push = _hook(algo, "pre_push")
+        post_push = _hook(algo, "post_push")
+        no_push = _hook(algo, "no_push")
         push, pop, length = stack.push, stack.pop, stack.len
         view = TopAccess(stack, algo.k)
         # Data's generated __new__ only packs its four arguments; the literal
@@ -354,20 +371,25 @@ class Runner:
                     raise ParseError(index, line, str(exc)) from exc
                 while length() > 0:
                     if pop_condition(payload, ctx, view):
-                        pre_pop(payload, ctx)
+                        if pre_pop is not None:
+                            pre_pop(payload, ctx)
                         popped = pop()
                         pops += 1
-                        post_pop(payload, popped, ctx)
+                        if post_pop is not None:
+                            post_pop(payload, popped, ctx)
                     else:
-                        no_pop(payload, ctx)
+                        if no_pop is not None:
+                            no_pop(payload, ctx)
                         break
-                if push_condition(payload, ctx, view):
-                    pre_push(payload, ctx)
+                if push_condition is None or push_condition(payload, ctx, view):
+                    if pre_push is not None:
+                        pre_push(payload, ctx)
                     entry = new_tuple(Data, (index, payload, None, pos))
                     push(entry)
                     pushes += 1
-                    post_push(entry, ctx)
-                else:
+                    if post_push is not None:
+                        post_push(entry, ctx)
+                elif no_push is not None:
                     no_push(payload, ctx)
         finally:
             if bound:

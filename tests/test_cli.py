@@ -3,6 +3,9 @@ import csv
 import pytest
 
 from cstack.cli import main
+from cstack.compressed import CompressedStack
+from cstack.metrics import resolve_p
+from cstack.problems import UpperHull
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +45,9 @@ def test_run_prints_report_and_metrics_footer(tmp_path, capsys):
     assert int(fields["peak_entries"]) > 0
     assert int(fields["promotions"]) >= 0
     assert int(fields["max_replay_depth"]) >= (int(fields["replay_lines"]) > 0)
+    # the header's n=64 sizes the stack: p = sqrt(64), k = UpperHull's 2
+    bound = CompressedStack(64, resolve_p("sqrt", 64), UpperHull.k).resident_data_bound()
+    assert int(fields["resident_bound"]) == bound
     xs = [float(l.split(",")[0]) for l in hull]
     assert xs == sorted(xs, reverse=True)  # hull reported right to left
 
@@ -57,6 +63,9 @@ def test_run_matches_between_stacks(tmp_path, capsys):
                                    "--input", str(path))
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
     assert strip(out_classic) == strip(out_compressed)
+    # only a stack that declares resident_data_bound() prints it
+    assert "resident_bound=" not in out_classic
+    assert "resident_bound=" in out_compressed
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -199,6 +199,55 @@ def test_hook_order_follows_pop_loop_then_push():
     ]
 
 
+class PrePushOnly(TestRun):
+    """Overrides pre_push alone of the hooks StackAlgorithm leaves as no-ops."""
+
+    def pre_push(self, payload, ctx):
+        self.calls.append((self.meter.replay_depth, payload.value))
+
+
+def post_pop_on_the_instance():
+    """UpperHull, which leaves post_pop as the base no-op, with one set on
+    the instance before its Runner is built."""
+    algo = UpperHull()
+    algo.post_pop = lambda payload, popped, ctx: algo.calls.append(
+        (algo.meter.replay_depth, popped.index)
+    )
+    return algo
+
+
+@pytest.mark.parametrize("make_algo", [PrePushOnly, post_pop_on_the_instance])
+def test_a_hook_overridden_alone_is_called_in_the_run_and_in_replays(make_algo):
+    # The runner skips the hooks an algorithm leaves as StackAlgorithm's
+    # no-ops; one overridden in the class or set on the instance still runs,
+    # in order, in the run and in every replay.
+    n = 600
+    if make_algo is PrePushOnly:
+        pairs = random_trace(random.Random(4), n)
+        text = pairs_to_text([(i, pops) for i, (_, pops) in enumerate(pairs, 1)])
+    else:
+        text = generate(GenSpec("points", n, 0.0, 3))
+    runs = []
+    for stack_kind in ("classic", "compressed"):
+        algo = make_algo()
+        algo.calls = []
+        algo.meter = MemoryMeter()
+        if stack_kind == "classic":
+            stack = ClassicStack(meter=algo.meter)
+        else:
+            stack = CompressedStack(n, 2, algo.k, meter=algo.meter)
+        result = Runner(algo, LineSource.from_text(text), stack).run()
+        runs.append((result, algo.calls))
+    (classic, classic_calls), (compressed, calls) = runs
+    assert compressed.report == classic.report
+    m, c = compressed.metrics, classic.metrics
+    assert (m.pushes, m.pops) == (c.pushes, c.pops)
+    assert classic_calls and all(depth == 0 for depth, _ in classic_calls)
+    assert [key for depth, key in calls if depth == 0] == [key for _, key in classic_calls]
+    replayed = [key for depth, key in calls if depth > 0]
+    assert replayed and set(replayed) <= {key for _, key in classic_calls}
+
+
 def test_context_snapshot_taken_after_pre_push():
     # The compressed stack keeps a snapshot on the entries that start its
     # runs, the only ones a replay restarts from, taken after pre_push and
