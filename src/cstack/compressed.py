@@ -171,7 +171,13 @@ class CompressedStack(StackInterface):
     run slot: pushes go there, and it holds the top entry; with h = 1 it is
     the region's only group.  `ref_index` is an index in the run slot's
     deepest block, and starts below the origin so that the first push
-    crosses a level-1 boundary.
+    crosses a level-1 boundary; `_run_end` is the last index of that
+    block, set with `ref_index`.
+
+    Unlike the classic stack's value array, every entry copy resident here
+    (explicit runs, signature bottoms and floors) is held through a pointer
+    slot, so the meter counts each one as an entry, a data record plus its
+    slot, with one `alloc_entry` or `free_entry` call.
 
     The stack declares `replay` and `snapshot`, and a Runner binds both.
     `replay` is a callable (scratch_stack, bottom_entry, last_index) -> None
@@ -195,6 +201,7 @@ class CompressedStack(StackInterface):
         "floor",
         "guard_index",
         "ref_index",
+        "_run_end",
         "lists",
         "live",
         "_max_index",
@@ -225,7 +232,7 @@ class CompressedStack(StackInterface):
     def _reset(self) -> None:
         """Empty the layout, so that the next push starts it afresh."""
         w = 2 * self.geom.h - 1
-        self.ref_index = self.geom.origin - 1
+        self._set_ref(self.geom.origin - 1)
         self.lists: list[list] = [[]] + _groups(w) + _groups(w)
         self.live = 0
         self._max_index = self.geom.origin - 1
@@ -235,15 +242,11 @@ class CompressedStack(StackInterface):
         """Whether a push went beyond the index the layout was sized for."""
         return self._max_index > self.geom.last_expected
 
-    # -- accounting helpers -------------------------------------------------
-
-    # Unlike the classic stack's value array, every entry copy resident here
-    # is held through a pointer slot (explicit runs, signature bottoms and
-    # floors), so each one costs a slot on top of the data record.  push and
-    # pop make these two meter calls inline.
-    def _free_entries(self, count: int = 1) -> None:
-        self.meter.free_data(count)
-        self.meter.free_slot(count)
+    def _set_ref(self, index: int) -> None:
+        """Move ref_index to index and _run_end to the end of its deepest block."""
+        self.ref_index = index
+        g = self.geom
+        self._run_end = g.block_start(index, g.h) + g.sizes[-1] - 1
 
     # -- public stack interface -------------------------------------------
 
@@ -257,22 +260,17 @@ class CompressedStack(StackInterface):
                 f"push index {index} not above last pushed {self._max_index}"
             )
         self._max_index = index
-        g = self.geom
         # Block sizes form a divisibility chain, so two indices in the same
         # deepest block share their block at every level; that is also why
-        # ref_index need not follow every push into its run.
-        s = g.sizes[-1]
-        if (
-            not (run := self.lists[-1])
-            or (index - g.origin) // s != (self.ref_index - g.origin) // s
-        ):
+        # ref_index need not follow every push into its run.  ref_index is
+        # at most the last pushed index, below index, so index stays in its
+        # deepest block exactly while it is at most that block's end.
+        if not (run := self.lists[-1]) or index > self._run_end:
             run = self._start_run(index)
             if self.snapshot is not None:
                 d = Data(index, d.payload, self.snapshot(), d.stream_pos)
         run.append(d)
-        meter = self.meter
-        meter.alloc_data()
-        meter.alloc_slot()
+        self.meter.alloc_entry()
         self.live += 1
 
     def pop(self) -> Data:
@@ -285,9 +283,7 @@ class CompressedStack(StackInterface):
         if not (run := self.lists[-1]):
             run = self._top_run()
         d = run.pop()
-        meter = self.meter
-        meter.free_data()
-        meter.free_slot()
+        self.meter.free_entry()
         self.live -= 1
         return d
 
@@ -310,7 +306,7 @@ class CompressedStack(StackInterface):
     def dispose(self) -> None:
         sigs, entries = self._counts(self.lists)
         self.meter.free_sig(sigs)
-        self._free_entries(entries)
+        self.meter.free_entry(entries)
         self._reset()
 
     # -- folding ------------------------------------------------------------
@@ -344,7 +340,7 @@ class CompressedStack(StackInterface):
                 i = w + 2 * cross - 2  # held[cross] of `first`
                 self._merge([lists[i]], lists[i - 1])
                 lists[i] = parts
-        self.ref_index = index
+        self._set_ref(index)
         run = lists[-1]
         # A floor copy that rebuilt the run left it in a deepest block before
         # index's, so the crossing moved it away.
@@ -355,8 +351,7 @@ class CompressedStack(StackInterface):
         # any non-empty floor the slot held.
         if floor:
             run.floor = floor
-            self.meter.alloc_data(len(floor))
-            self.meter.alloc_slot(len(floor))
+            self.meter.alloc_entry(len(floor))
         return run
 
     def _split(self, base: int, c: int) -> list:
@@ -411,7 +406,7 @@ class CompressedStack(StackInterface):
             meter.free_sig(sigs)
         entries -= 1 + len(floor)
         if entries:
-            self._free_entries(entries)
+            meter.free_entry(entries)
         meter.alloc_sig()
         into.append(tuple.__new__(BlockSignature, (last_index, count, bottom, floor)))
 
@@ -431,7 +426,7 @@ class CompressedStack(StackInterface):
         if not run and run.floor:
             win = run.floor
             run.floor = ()
-            self._free_entries(len(win))
+            self.meter.free_entry(len(win))
             return win
         if len(run) >= depth:
             return tuple(run[-depth:])
@@ -461,12 +456,12 @@ class CompressedStack(StackInterface):
         i = len(lists) - 1
         run = lists[i]
         if run.floor and not run:  # stale: the caller reaches below it
-            self._free_entries(len(run.floor))
+            self.meter.free_entry(len(run.floor))
             run.floor = ()
         while not lists[i]:
             i -= 1
         top = lists[i][-1]
-        self.ref_index = top.index if type(lists[i]) is Run else top.last_index
+        self._set_ref(top.index if type(lists[i]) is Run else top.last_index)
         if i == 0:
             self._expand_into(0, 1)
         else:
@@ -547,7 +542,7 @@ class CompressedStack(StackInterface):
             inner = [groups[0], scratch._split(1, 1)] + inner
         lists[base + 2 * lv - 2 :] = inner
         meter.free_sig()
-        self._free_entries(1 + len(sig.floor))
+        meter.free_entry(1 + len(sig.floor))
 
     def _peek_top(self, j: int) -> list[Data]:
         """Top j entries, bottom to top, materializing detail as needed."""
@@ -653,6 +648,7 @@ class CompressedStack(StackInterface):
                     assert g.block_start(group[0].bottom.index, c) == g.block_start(
                         group[-1].last_index, c
                     )
+        assert self._run_end == g.block_start(self.ref_index, g.h) + g.sizes[-1] - 1
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
         survivors = 0

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 DATA_BYTES = 48
 SIG_BYTES = 64
 SLOT_BYTES = 8
+# An entry copy held through a slot: its data record plus the slot.
+ENTRY_BYTES = DATA_BYTES + SLOT_BYTES
 
 
 class AccountingError(Exception):
@@ -37,6 +39,11 @@ class MemoryMeter:
     replays only its newest sub-block.  `max_replay_depth` is the deepest
     nesting of replays, `replay_depth` the current one.  Both change only
     when a block is restored, never per element.
+
+    An entry copy that the compressed stack holds through a pointer slot is
+    one meter call, `alloc_entry` or `free_entry`, which counts its data
+    record and its slot together, `ENTRY_BYTES`; the classic stack's
+    entries take `alloc_data` and `free_data`.
     """
 
     __slots__ = (
@@ -96,6 +103,20 @@ class MemoryMeter:
         self.live_bytes -= SLOT_BYTES * count
         if self.live_bytes < 0:
             raise AccountingError(f"live bytes went negative freeing {count} slots")
+
+    def alloc_entry(self, count: int = 1) -> None:
+        live = self.live_bytes = self.live_bytes + ENTRY_BYTES * count
+        if live > self.peak_bytes:
+            self.peak_bytes = live
+        live = self.live_data = self.live_data + count
+        if live > self.peak_data:
+            self.peak_data = live
+
+    def free_entry(self, count: int = 1) -> None:
+        self.live_bytes -= ENTRY_BYTES * count
+        self.live_data -= count
+        if self.live_bytes < 0 or self.live_data < 0:
+            raise AccountingError(f"live counts went negative freeing {count} entries")
 
 
 @dataclass

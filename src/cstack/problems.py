@@ -105,7 +105,12 @@ class UpperHull(StackAlgorithm):
         if below is None:
             # Fewer than two entries available: no turn to evaluate.
             return False
-        return orientation(below.payload, last.payload, payload) == 1
+        a, b = below.payload, last.payload
+        # The cross product is at most 0 here, so orientation cannot return
+        # 1; NaN fails the test and is left to orientation.
+        if (b.x - a.x) * (payload.y - b.y) <= (b.y - a.y) * (payload.x - b.x):
+            return False
+        return orientation(a, b, payload) == 1
 
     def push_condition(self, payload: Point2D, ctx, top) -> bool:
         last = top.top(1)

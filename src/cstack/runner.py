@@ -211,16 +211,17 @@ class LineCursor:
     where it is.
     """
 
-    __slots__ = ("_handle", "_pos", "_resume")
+    __slots__ = ("_handle", "_readline", "_pos", "_resume")
 
     def __init__(self, handle, resume: int | None = None):
         self._handle = handle
+        self._readline = handle.readline
         self._pos = handle.tell()
         self._resume = resume
 
     def read(self) -> tuple[str, int] | None:
         """Next data line and the byte position just after it, or None at EOF."""
-        readline = self._handle.readline
+        readline = self._readline
         pos = self._pos
         while True:
             raw = readline()
@@ -235,7 +236,7 @@ class LineCursor:
                 if raw.lstrip().startswith(b"#"):
                     continue
                 raise
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             self._pos = pos
             return line, pos

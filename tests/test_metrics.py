@@ -81,6 +81,39 @@ class TestMeter:
         meter.alloc_slot()
         assert meter.live_bytes == DATA_BYTES + SIG_BYTES + SLOT_BYTES
 
+    @pytest.mark.parametrize("before", [0, 1, 7])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_alloc_entry_matches_data_then_slot(self, before, count):
+        fused, paired = MemoryMeter(), MemoryMeter()
+        for meter in (fused, paired):
+            meter.alloc_data(before)
+            meter.alloc_sig()
+            meter.free_data(before)
+        fused.alloc_entry(count)
+        paired.alloc_data(count)
+        paired.alloc_slot(count)
+        for meter in (fused, paired):
+            meter.free_sig()
+        fields = ("live_bytes", "peak_bytes", "live_data", "peak_data")
+        assert [getattr(fused, f) for f in fields] == [getattr(paired, f) for f in fields]
+        assert fused.live_bytes == count * (DATA_BYTES + SLOT_BYTES)
+        fused.free_entry(count)
+        paired.free_data(count)
+        paired.free_slot(count)
+        assert [getattr(fused, f) for f in fields] == [getattr(paired, f) for f in fields]
+        assert fused.live_bytes == fused.live_data == 0
+
+    def test_free_entry_underflow_fails_fast(self):
+        meter = MemoryMeter()
+        meter.alloc_entry()
+        with pytest.raises(AccountingError):
+            meter.free_entry(2)
+        # bytes would stay positive, but no data record is live
+        meter2 = MemoryMeter()
+        meter2.alloc_sig()
+        with pytest.raises(AccountingError):
+            meter2.free_entry()
+
 
 def test_metrics_csv_fields():
     m = RunMetrics(wall_seconds=0.5, peak_bytes=100, reconstructions=3, final_len=7)

@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 
 from cstack.compressed import CompressedStack
-from cstack.core import ClassicStack
+from cstack.core import ClassicStack, Data
 from cstack.generators import GenSpec, generate
 from cstack.problems import Point2D, TestRun, UpperHull, orientation
-from cstack.runner import LineSource, Runner
+from cstack.runner import LineSource, Runner, TopAccess
 
 from oracles import upper_hull_chain, upper_hull_wrap
 
@@ -30,6 +31,52 @@ class TestOrientation:
         # far beyond float precision, still decided exactly
         big = 10 ** 20
         assert orientation(Point2D(0, 0), Point2D(big, big), Point2D(2 * big, 2 * big + 1)) == 1
+
+
+def _hull_triples():
+    """(a, b, c) point triples for the hull's pop condition: random ints and
+    floats, collinear ones, ones within orientation's relative tolerance,
+    and ones with inf and nan coordinates."""
+    rng = random.Random(41)
+    triples = []
+    for _ in range(200):
+        triples.append(tuple(Point2D(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)))
+        triples.append(tuple(Point2D(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)))
+        # tiny coordinates: cross products far below 1, decided by their sign
+        triples.append(tuple(Point2D(rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))
+                             for _ in range(3)))
+        # collinear: c on the line through a and b, exactly for ints
+        a = Point2D(rng.randint(-9, 9), rng.randint(-9, 9))
+        dx, dy = rng.randint(-4, 4), rng.randint(-4, 4)
+        t = rng.randint(1, 3)
+        triples.append((a, Point2D(a.x + dx, a.y + dy),
+                        Point2D(a.x + (1 + t) * dx, a.y + (1 + t) * dy)))
+        # floats on a line, then nudged to either side, within and beyond
+        # the 1e-12 relative tolerance
+        x0, slope = rng.uniform(-1e3, 1e3), rng.uniform(-10, 10)
+        xs = sorted(rng.uniform(-1e3, 1e3) for _ in range(3))
+        pts = [Point2D(x, slope * (x - x0)) for x in xs]
+        c = pts[2]
+        for nudge in (0.0, 5e-16, -5e-16, 1e-13, -1e-13, 1e-9, -1e-9):
+            triples.append((pts[0], pts[1], Point2D(c.x, c.y * (1 + nudge) + nudge)))
+    special = (0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)
+    for _ in range(300):
+        triples.append(tuple(Point2D(rng.choice(special), rng.choice(special))
+                             for _ in range(3)))
+    return triples
+
+
+def test_hull_pop_condition_equals_counterclockwise_orientation():
+    hull = UpperHull()
+    outcomes = set()
+    for a, b, c in _hull_triples():
+        stack = ClassicStack()
+        stack.push(Data(1, a, None, 0))
+        stack.push(Data(2, b, None, 0))
+        want = orientation(a, b, c)
+        assert hull.pop_condition(c, None, TopAccess(stack, 2)) == (want == 1), (a, b, c)
+        outcomes.add(want)
+    assert outcomes == {-1, 0, 1}
 
 
 class TestTestRun:

@@ -151,6 +151,16 @@ def test_comment_and_blank_lines_skipped():
     assert result.report == ["7", "5"]
 
 
+def test_cursor_skips_indented_and_lone_comments_but_keeps_inline_hash():
+    data = b"  # indented\n#\n\t#tab\n5,0 # trailing\n   \n#\n7,0\n"
+    with LineSource(data=data) as source:
+        cursor = source.cursor()
+        assert cursor.read() == ("5,0 # trailing", data.index(b"   \n"))
+        assert cursor.read() == ("7,0", len(data))
+        assert cursor.read() is None
+        cursor.close()
+
+
 def test_hook_order_follows_pop_loop_then_push():
     calls = []
 
