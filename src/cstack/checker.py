@@ -39,12 +39,13 @@ class TwinStack(CompressedStack):
     """A compressed stack checked in lockstep against a classic one.
 
     Built like the compressed stack it is; every push/pop/top/len/dispose
-    also goes to the classic stack, and the answers must agree.  With
-    deep=True, after each push and pop all entry copies resident in the
-    compressed structure (explicit runs, signature bottoms, floors) are
-    checked against the classic stack's entry at the same index, and the
-    floor an emptied run slot keeps must be the classic stack's top entries.
-    Otherwise only the space cap is checked.
+    also goes to the classic stack, and the answers must agree; pop_run
+    pops as many classic entries as it returns and matches each one.  With
+    deep=True, after each push, pop and pop_run all entry copies resident
+    in the compressed structure (explicit runs, signature bottoms, floors)
+    are checked against the classic stack's entry at the same index, and
+    the floor an emptied run slot keeps must be the classic stack's top
+    entries.  Otherwise only the space cap is checked.
     """
 
     __slots__ = ("classic", "deep", "ordinal")
@@ -63,13 +64,24 @@ class TwinStack(CompressedStack):
         self.verify_now()
 
     def pop(self) -> Data:
-        self.ordinal += 1
-        a = self.classic.pop()
         b = super().pop()
-        if _key(a) != _key(b):
-            raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
+        self._match_pop(b)
         self.verify_now()
         return b
+
+    def pop_run(self) -> list[Data]:
+        run = super().pop_run()
+        for b in run:
+            self._match_pop(b)
+        self.verify_now()
+        return run
+
+    def _match_pop(self, b: Data) -> None:
+        """Pop the classic stack once; its entry must be b."""
+        self.ordinal += 1
+        a = self.classic.pop()
+        if _key(a) != _key(b):
+            raise DivergenceError(self.ordinal, f"pop returned {b!r}, classic has {a!r}")
 
     def top(self, j: int) -> Data | None:
         a = self.classic.top(j)

@@ -36,10 +36,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import (
+    AccountingError,
     ContractError,
     Data,
     DeterminismError,
     EmptyStackError,
+    ParseError,
     StackError,
     StackInterface,
 )
@@ -259,7 +261,6 @@ class CompressedStack(StackInterface):
             raise ContractError(
                 f"push index {index} not above last pushed {self._max_index}"
             )
-        self._max_index = index
         # Block sizes form a divisibility chain, so two indices in the same
         # deepest block share their block at every level; that is also why
         # ref_index need not follow every push into its run.  ref_index is
@@ -269,6 +270,8 @@ class CompressedStack(StackInterface):
             run = self._start_run(index)
             if self.snapshot is not None:
                 d = Data(index, d.payload, self.snapshot(), d.stream_pos)
+        # Only now: a push whose run start failed can be retried.
+        self._max_index = index
         run.append(d)
         self.meter.alloc_entry()
         self.live += 1
@@ -286,6 +289,22 @@ class CompressedStack(StackInterface):
         self.meter.free_entry()
         self.live -= 1
         return d
+
+    def pop_run(self) -> list[Data]:
+        """Pop the run slot's entries, top first, with one meter call.  A
+        replay's scratch pops one entry at a time, so that pop's guard keeps
+        the range bottom."""
+        if self.live == 0:
+            raise EmptyStackError("pop on empty stack")
+        if self.guard_index is not None:
+            return [self.pop()]
+        if not (run := self.lists[-1]):
+            run = self._top_run()
+        out = run[::-1]
+        run.clear()
+        self.meter.free_entry(len(out))
+        self.live -= len(out)
+        return out
 
     def top(self, j: int) -> Data | None:
         if j < 1 or j > self.k:
@@ -492,7 +511,11 @@ class CompressedStack(StackInterface):
         split into sub-blocks as held[lv+1], then the groups of its `first`.
         Only a failed replay releases the scratch; it also puts the
         signature back to lists[src], so the stack stays whole and a retry
-        fails the same way.  Both count as a reconstruction.
+        fails the same way.  Both count as a reconstruction.  An exception
+        that only a hook can raise during the replay becomes a
+        DeterminismError naming the block, chained to the original; the
+        stack's and the input's errors, OSError and MemoryError keep their
+        type.
         """
         lists = self.lists
         base = len(lists) // 2 + 1
@@ -531,9 +554,18 @@ class CompressedStack(StackInterface):
             # A level-h block is one level-1 block of the scratch.
             if lv == g.h and any(groups[:-1]):
                 raise StackError("level-h replay produced sub-block signatures")
-        except BaseException:
+        except BaseException as exc:
             lists[src].append(sig)
             scratch.dispose()
+            # A hook that raised only here broke the replay contract; the
+            # stack's own errors, the input's and the system's (re-reading
+            # the input, allocating) already name what failed.
+            if isinstance(exc, Exception) and not isinstance(
+                exc, (StackError, ParseError, AccountingError, OSError, MemoryError)
+            ):
+                raise DeterminismError(
+                    f"replay of level-{lv} block [{low}..{sig.last_index}] raised {exc!r}"
+                ) from exc
             raise
         finally:
             meter.replay_depth -= 1

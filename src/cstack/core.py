@@ -32,6 +32,14 @@ class DeterminismError(StackError):
     """A replayed hook sequence diverged from the recorded run."""
 
 
+class ParseError(ValueError):
+    """An input line did not match the problem's format."""
+
+    def __init__(self, line_no: int, line: str, reason: str):
+        super().__init__(f"line {line_no}: {reason} in {line!r}")
+        self.line_no = line_no
+
+
 class Data(NamedTuple):
     """One stack entry.
 
@@ -57,7 +65,10 @@ class Data(NamedTuple):
 class StackInterface:
     """LIFO contract shared by ClassicStack and CompressedStack.
 
-    top(1) always equals the value the next pop returns.
+    top(1) always equals the value the next pop returns.  pop_run pops one
+    or more top entries at once, top first, as repeated pops would return
+    them; the runner's report drain goes through it, so a stack that holds
+    its top entries together can hand them over in one call.
     """
 
     def push(self, d: Data) -> None:
@@ -65,6 +76,10 @@ class StackInterface:
 
     def pop(self) -> Data:
         raise NotImplementedError
+
+    def pop_run(self) -> list[Data]:
+        """Pop at least one entry, top first; EmptyStackError when empty."""
+        return [self.pop()]
 
     def top(self, j: int) -> Data | None:
         """j-th entry from the top (top(1) is the top) without modification.

@@ -34,16 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import ContractError, Data, DeterminismError, StackInterface
+from .core import ContractError, Data, DeterminismError, ParseError, StackInterface
 from .metrics import MemoryMeter, RunMetrics
-
-
-class ParseError(ValueError):
-    """An input line did not match the problem's format."""
-
-    def __init__(self, line_no: int, line: str, reason: str):
-        super().__init__(f"line {line_no}: {reason} in {line!r}")
-        self.line_no = line_no
 
 
 class TopAccess:
@@ -398,12 +390,14 @@ class Runner:
         return pushes, pops
 
     def _report(self) -> list[str]:
+        """Drain the stack a run at a time, formatting only when collecting."""
         lines: list[str] = []
         stack = self.stack
+        report_line = self.algo.report_line if self.collect_report else None
         while stack.len() > 0:
-            d = stack.pop()
-            if self.collect_report:
-                lines.append(self.algo.report_line(d))
+            run = stack.pop_run()
+            if report_line is not None:
+                lines.extend(map(report_line, run))
         return lines
 
     # -- replay delegate -------------------------------------------------------

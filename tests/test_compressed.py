@@ -593,3 +593,156 @@ def test_golden_counters(name, schedule, mode):
     assert got == GOLDEN[(name, schedule, mode)]
     cs.dispose()
     assert meter.live_bytes == 0
+
+
+def _drain(stack, by_run):
+    """Every entry, in the order pop_run or pop hands them over."""
+    out = []
+    while stack.len() > 0:
+        out += stack.pop_run() if by_run else [stack.pop()]
+    return out
+
+
+METER_FIELDS = ("reconstructions", "replay_lines", "peak_bytes", "peak_data",
+                "promotions", "max_replay_depth")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_pop_run_drains_as_pop_does(data):
+    # The same scan drained entry by entry and a run at a time must hand over
+    # the same entries and leave the meter in the same state: the runs pop
+    # what the pops would, and the same blocks are restored in between.
+    n = data.draw(st.integers(min_value=50, max_value=400))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    text = pairs_to_text(random_trace(random.Random(seed), n))
+    kind = data.draw(st.sampled_from(["classic", "compressed"]))
+    p = data.draw(st.integers(min_value=2, max_value=6))
+    k = data.draw(st.sampled_from([1, 2, 3]))
+    drains, meters = [], []
+    for by_run in (False, True):
+        meter = MemoryMeter()
+        if kind == "classic":
+            stack = ClassicStack(meter=meter)
+        else:
+            stack = CompressedStack(n, p, k, meter=meter)
+        Runner(TestRun(), LineSource.from_text(text), stack, drain_report=False).run()
+        drains.append(_drain(stack, by_run))
+        meters.append(tuple(getattr(meter, f) for f in METER_FIELDS))
+        assert stack.len() == 0
+        stack.dispose()
+        assert meter.live_bytes == 0
+    assert drains[0] == drains[1]
+    assert meters[0] == meters[1]
+
+
+@pytest.mark.parametrize("make", [ClassicStack, lambda: CompressedStack(16, 2, 2)])
+def test_pop_run_on_an_empty_stack_raises(make):
+    stack = make()
+    with pytest.raises(EmptyStackError):
+        stack.pop_run()
+    stack.push(entry(1))
+    assert stack.pop_run() == [entry(1)]
+    with pytest.raises(EmptyStackError):
+        stack.pop_run()
+
+
+def test_pop_run_takes_the_whole_run_slot():
+    meter = MemoryMeter()
+    cs = CompressedStack(64, 8, 1, meter=meter)  # h = 1: one run of 8
+    for i in range(1, 6):
+        cs.push(entry(i))
+    assert [d.index for d in cs.pop_run()] == [5, 4, 3, 2, 1]
+    assert cs.len() == 0 and meter.live_bytes == 0
+    cs.check_invariants()
+
+
+def test_pop_run_never_pops_a_scratchs_range_bottom():
+    cs = CompressedStack(64, 8, 1)
+    cs.guard_index = 1  # as on a replay's scratch seeded with entry 1
+    for i in range(1, 6):
+        cs.push(entry(i))
+    popped = []
+    with pytest.raises(DeterminismError, match="range bottom"):
+        while True:
+            popped += cs.pop_run()
+    assert [d.index for d in popped] == [5, 4, 3, 2]
+    assert cs.len() == 1 and cs.top(1) == entry(1)
+    cs.check_invariants()
+
+
+class SeenOnce(TestRun):
+    """A TestRun whose post_push refuses an index it has seen: it raises
+    only when a replay pushes an entry the run pushed before."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def post_push(self, entry, ctx):
+        if entry.index in self.seen:
+            raise KeyError(entry.index)
+        self.seen.add(entry.index)
+
+
+def test_a_hook_raising_only_in_a_replay_is_a_determinism_error():
+    meter = MemoryMeter()
+    cs = CompressedStack(4096, 8, 1, meter=meter)
+    text = generate(GenSpec("xmas", 4096, 0.0, 0))
+    with pytest.raises(DeterminismError, match=r"level-\d block \[\d+\.\.\d+\] raised KeyError") as exc:
+        Runner(SeenOnce(), LineSource.from_text(text), cs).run()
+    assert isinstance(exc.value.__cause__, KeyError)
+    cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
+
+
+class FailingReread(LineSource):
+    """Input that reads once from the start, then fails every re-read: a
+    replay's cursor opens past the start."""
+
+    def __init__(self, text, exc):
+        super().__init__(data=text.encode("utf-8"))
+        self.exc = exc
+
+    def cursor(self, pos=0):
+        if pos:
+            raise self.exc
+        return super().cursor(pos)
+
+
+@pytest.mark.parametrize("exc", [OSError(5, "input read failed"), MemoryError()])
+def test_a_system_error_in_a_replay_keeps_its_type(exc):
+    meter = MemoryMeter()
+    cs = CompressedStack(4096, 8, 1, meter=meter)
+    text = generate(GenSpec("xmas", 4096, 0.0, 0))
+    with pytest.raises(type(exc)) as raised:
+        Runner(TestRun(), FailingReread(text, exc), cs).run()
+    assert raised.value is exc
+    assert meter.reconstructions == 1
+    cs.check_invariants()
+    cs.dispose()
+    assert meter.live_bytes == 0
+
+
+def test_a_push_whose_run_start_failed_can_be_retried():
+    # The push crosses a deepest boundary, and copying its k-1 floor entry
+    # needs a replay that no delegate can run; the retry must fail the same
+    # way, not as a push below the last pushed index.
+    meter = MemoryMeter()
+    cs = CompressedStack(64, 2, 2, meter=meter)
+    for i in range(1, 40):
+        cs.push(entry(i))
+    for _ in range(3):
+        cs.pop()
+    with pytest.raises(StackError, match="no replay delegate bound"):
+        cs.pop()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(StackError) as exc:
+            cs.push(entry(50))
+        errors.append((type(exc.value), str(exc.value)))
+        cs.check_invariants()
+    assert errors[0] == errors[1]
+    assert errors[0][1] == "no replay delegate bound; cannot reconstruct"
+    cs.dispose()
+    assert meter.live_bytes == 0

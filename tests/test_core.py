@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cstack.core import ClassicStack, ContractError, Data, EmptyStackError
+from cstack.core import ClassicStack, ContractError, Data, EmptyStackError, StackInterface
 from cstack.metrics import DATA_BYTES, MemoryMeter
 from cstack import problems
+from cstack.runner import LineSource, Runner
 
 
 def entry(i, payload=None):
@@ -122,3 +123,45 @@ def test_accounting_error_importable_from_every_layer():
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
+
+
+class ListStack(StackInterface):
+    """A user-defined stack that leaves pop_run to the interface's default."""
+
+    def __init__(self):
+        self.items = []
+
+    def push(self, d):
+        self.items.append(d)
+
+    def pop(self):
+        if not self.items:
+            raise EmptyStackError("pop on empty stack")
+        return self.items.pop()
+
+    def top(self, j):
+        return self.items[-j] if j <= len(self.items) else None
+
+    def len(self):
+        return len(self.items)
+
+
+def test_default_pop_run_pops_one_entry():
+    s = ListStack()
+    with pytest.raises(EmptyStackError):
+        s.pop_run()
+    s.push(entry(1))
+    s.push(entry(2))
+    assert s.pop_run() == [entry(2)]
+    text = "".join(f"{v},{c}\n" for v, c in [(5, 0), (7, 0), (9, 1), (4, 0)])
+    report = Runner(problems.TestRun(), LineSource.from_text(text), ListStack()).run().report
+    assert report == ["4", "9", "5"]
+
+
+def test_classic_pop_run_is_the_default_one_pop():
+    meter = MemoryMeter()
+    s = ClassicStack(meter=meter)
+    for i in (1, 2, 3):
+        s.push(entry(i))
+    assert [d.index for d in s.pop_run()] == [3]
+    assert s.len() == 2 and meter.live_data == 2

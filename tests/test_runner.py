@@ -540,6 +540,25 @@ class TestChecker:
         with pytest.raises(DivergenceError, match="index 1000 not live in classic stack"):
             runner.run()
 
+    def test_the_drain_checks_each_entry_of_a_run(self):
+        # Without deep checks nothing looks at resident entries until they
+        # are popped, so the corrupted entry 15 reaches the drain, which
+        # takes the run [15, 16] in one pop_run and must match both entries.
+        class Sabotage(TestRun):
+            def post_push(self, entry, ctx):
+                if entry.index == 16:
+                    run = self.twin.lists[-1]
+                    run[0] = run[0]._replace(payload=type(entry.payload)(999999, 0))
+
+        pairs = [(i, 0) for i in range(1, 17)]
+        algo = Sabotage()
+        twin = TwinStack(16, 2, 1)
+        algo.twin = twin
+        runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), twin)
+        with pytest.raises(DivergenceError, match=r"pop returned Data\(index=15") as exc:
+            runner.run()
+        assert exc.value.ordinal == 18  # 16 pushes, then the pops of 16 and 15
+
     def test_upperhull_instances_pass(self):
         from cstack.generators import GenSpec, generate
 
