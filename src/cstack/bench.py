@@ -9,6 +9,7 @@ capped at 2**22 by default; larger sweeps need an explicit override.
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 from .core import ClassicStack
@@ -47,7 +48,13 @@ def ensure_input(spec: GenSpec, cache_dir: Path) -> Path:
     name = f"{spec.kind}-n{spec.n}-rho{spec.rho:g}-seed{spec.seed}.txt"
     path = cache_dir / name
     if not path.exists():
-        generate(GenSpec(spec.kind, spec.n, spec.rho, spec.seed, str(path)))
+        # Written aside and renamed: an interrupted write caches nothing.
+        part = path.with_name(name + ".part")
+        try:
+            generate(GenSpec(spec.kind, spec.n, spec.rho, spec.seed, str(part)))
+            os.replace(part, path)
+        finally:
+            part.unlink(missing_ok=True)
     return path
 
 

@@ -18,13 +18,6 @@ from .problems import PROBLEMS
 from .runner import LineSource
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _read_header_n(path: str) -> int | None:
     """Expected size recorded in a generated file's header, if present."""
     try:
@@ -64,8 +57,16 @@ def _resolve_n_expect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cstack", description=__doc__)
+    parser = argparse.ArgumentParser(prog="cstack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # what `run` and `compare` both need: a problem, an input, a stack size
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
+    shared.add_argument("--p", default="sqrt", help="int or one of " + ", ".join(SCHEDULES))
+    shared.add_argument("--n-expect", type=int, default=0)
+    shared.add_argument("--k", type=int, default=None)
+    shared.add_argument("--input", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic input file")
     g.add_argument("--kind", choices=GEN_KINDS, required=True)
@@ -74,21 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
-    r = sub.add_parser("run", help="run one problem over one input")
-    r.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
+    r = sub.add_parser("run", parents=[shared], help="run one problem over one input")
     r.add_argument("--stack", choices=("classic", "compressed"), default="classic")
-    r.add_argument("--p", default="sqrt", help="int or one of " + ", ".join(SCHEDULES))
-    r.add_argument("--n-expect", type=int, default=0)
-    r.add_argument("--k", type=int, default=None)
-    r.add_argument("--input", required=True)
     r.add_argument("--out", default=None, help="report destination (default stdout)")
 
-    c = sub.add_parser("compare", help="lockstep classic/compressed state check")
-    c.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
-    c.add_argument("--p", default="sqrt")
-    c.add_argument("--n-expect", type=int, default=0)
-    c.add_argument("--k", type=int, default=None)
-    c.add_argument("--input", required=True)
+    sub.add_parser("compare", parents=[shared], help="lockstep classic/compressed state check")
 
     b = sub.add_parser("bench", help="sweep sizes, write CSV metrics")
     b.add_argument("--problem", choices=sorted(PROBLEMS), default="testrun")
@@ -124,8 +115,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # --help, or a usage error (argparse exits 2)
+        return 1 if exc.code else 0
 
     try:
         if args.command == "generate":

@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-GEN_KINDS = ("pushonly", "xmas", "points")
-
 # Nested-cycle constants: blocks of CYCLE sub-blocks, dropping half of what a
 # block added once it completes.
 CYCLE = 8
@@ -37,15 +35,10 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> str:
     """Render one input (header + data lines); write out_path if set."""
-    if spec.kind == "pushonly":
-        body = _gen_pushonly(spec)
-    elif spec.kind == "xmas":
-        body = _gen_xmas(spec)
-    elif spec.kind == "points":
-        body = _gen_points(spec)
-    else:
+    render = _RENDERERS.get(spec.kind)
+    if render is None:
         raise ValueError(f"unknown generator kind: {spec.kind!r}")
-    text = spec.header() + "\n" + body
+    text = spec.header() + "\n" + render(spec)
     if spec.out_path:
         Path(spec.out_path).write_text(text, encoding="utf-8")
     return text
@@ -115,3 +108,7 @@ def _gen_points(spec: GenSpec) -> str:
             xs[i] = math.nextafter(xs[i - 1], 2.0)
     lines = [f"{x!r},{y!r}" for x, (_, y) in zip(xs, pts)]
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"pushonly": _gen_pushonly, "xmas": _gen_xmas, "points": _gen_points}
+GEN_KINDS = tuple(_RENDERERS)

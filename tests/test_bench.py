@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,25 @@ class TestBench:
         bench("testrun", "pushonly", "compressed", "10", [2 ** 10], rho=1.0,
               cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == files
+
+    def test_an_interrupted_generate_caches_nothing(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def write_half_then_interrupt(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            bench("testrun", "pushonly", "classic", "10", [2 ** 10], rho=1.0,
+                  cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        rows = bench("testrun", "pushonly", "classic", "10", [2 ** 10], rho=1.0,
+                     cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 2 ** 10
+        assert rows[0]["final_stack_len"] == 2 ** 10
 
 
 def test_csv_layout(tmp_path):

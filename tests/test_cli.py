@@ -141,3 +141,35 @@ def test_n_expect_read_from_header(tmp_path, capsys):
                            "--input", str(path))
     assert code == 0
     assert "# degraded_estimate=false" in out
+
+
+def test_help_exits_zero_and_usage_errors_exit_one(capsys):
+    assert run_cli(capsys, "--help")[0] == 0
+    assert run_cli(capsys, "run", "--help")[0] == 0
+    code, out, err = run_cli(capsys, "run", "--problem", "nope", "--input", "x")
+    assert code == 1
+    assert "cstack run: error:" in err
+
+
+def test_k_sets_the_access_depth(tmp_path, capsys):
+    # a deeper k keeps longer floors: same hull, more resident bytes; a k
+    # below what the algorithm probes is refused at its first deep probe
+    path = tmp_path / "pts.txt"
+    run_cli(capsys, "generate", "--kind", "points", "--n", "256",
+            "--seed", "3", "--out", str(path))
+    reports = {}
+    for k in ("2", "3"):
+        code, out, _ = run_cli(capsys, "run", "--problem", "upperhull",
+                               "--stack", "compressed", "--p", "4", "--k", k,
+                               "--input", str(path))
+        assert code == 0
+        reports[k] = out.splitlines()
+    strip = lambda lines: [l for l in lines if not l.startswith("#")]
+    assert strip(reports["2"]) == strip(reports["3"])
+    assert "# peak_bytes=1048" in reports["2"]
+    assert "# peak_bytes=1448" in reports["3"]
+    code, _, err = run_cli(capsys, "run", "--problem", "upperhull",
+                           "--stack", "compressed", "--p", "4", "--k", "1",
+                           "--input", str(path))
+    assert code == 2
+    assert "top(2) outside declared access depth k=1" in err

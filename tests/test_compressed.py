@@ -125,6 +125,16 @@ class TestTopAndBuffer:
         with pytest.raises(ContractError):
             cs.top(2)
 
+    def test_probe_deeper_than_the_captured_floor_is_not_answerable(self):
+        # built at k=1, no run captured a floor; a later top(2) that the run
+        # slot cannot answer alone must say so, not return a wrong entry
+        cs = CompressedStack(64, 2, k=1)
+        for i in range(1, 6):
+            cs.push(entry(i))
+        cs.k = 2
+        with pytest.raises(StackError, match="not answerable"):
+            cs.top(2)
+
     def test_top_after_pop_run_answers_through_reconstruction(self):
         # after the run, 1..3 survive only inside a signature (4..6 are the
         # previous run); popping the explicit entries and the promoted
@@ -466,11 +476,11 @@ class TestSpaceCap:
         pairs = [(i, 0) for i in range(1, 201)]
         result, runner, cs, meter = run_testrun(pairs, p=4, n_expect=200, drain=False)
         cs.check_invariants()
-        assert cs.tail_within_cap()
+        assert not cs.degraded and len(cs.lists[0]) <= cs.geom.p - 2
 
     def test_audit_matches_incremental_count(self):
         # the push-only prefix builds a tail; the count leaves tail signatures
-        # out (tail_within_cap bounds them), the walk yields them
+        # out (the tail cap bounds them), the walk yields them
         rng = random.Random(9)
         pairs = [(i, 0) for i in range(1, 201)] + random_trace(rng, 56)
         tail_lens = []
@@ -479,7 +489,7 @@ class TestSpaceCap:
             stack = runner.stack
             walked = sum(1 for _ in stack.iter_resident())
             in_tail = sum(1 + len(sig.floor) for sig in stack.lists[0])
-            assert walked - in_tail == stack.resident_data_count()
+            assert walked - in_tail == stack._counts(stack.lists[1:])[1]
             tail_lens.append(len(stack.lists[0]))
 
         run_testrun(pairs, p=4, n_expect=256, drain=False, on_element=on_element)
