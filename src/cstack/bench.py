@@ -25,7 +25,7 @@ CSV_HEADER = ["size", "p", "time_s", "peak_bytes", "reconstructions", "final_sta
 
 
 def execute_run(problem: str, source: LineSource, stack_kind: str, *,
-                n_expect: int, p: int | None = None, k: int | None = None,
+                n_expect: int | None, p: int | None = None, k: int | None = None,
                 collect_report: bool = True, drain_report: bool = True) -> RunResult:
     algo = PROBLEMS[problem]()
     if k is not None:

@@ -39,13 +39,14 @@ class TwinStack(CompressedStack):
     """A compressed stack checked in lockstep against a classic one.
 
     Built like the compressed stack it is; every push/pop/top/len/dispose
-    also goes to the classic stack, and the answers must agree; pop_run
-    pops as many classic entries as it returns and matches each one.  With
-    deep=True, after each push, pop and pop_run all entry copies resident
-    in the compressed structure (explicit runs, signature bottoms, floors)
-    are checked against the classic stack's entry at the same index, and
-    the floor an emptied run slot keeps must be the classic stack's top
-    entries.  Otherwise only the space cap is checked.
+    also goes to the classic stack, and the answers must agree, those to the
+    top probes a push makes to copy its floor included; pop_run pops as many
+    classic entries as it returns and matches each one.  With deep=True,
+    after each push, pop and pop_run all entry copies resident in the
+    compressed structure (explicit runs, signature bottoms, floors) are
+    checked against the classic stack's entry at the same index, and the
+    floor an emptied run slot keeps must be the classic stack's top entries.
+    Otherwise only the space cap is checked.
     """
 
     __slots__ = ("classic", "deep", "ordinal")
@@ -59,8 +60,9 @@ class TwinStack(CompressedStack):
 
     def push(self, d: Data) -> None:
         self.ordinal += 1
-        self.classic.push(d)
+        # compressed first: its floor copy reads top, which classic answers without d
         super().push(d)
+        self.classic.push(d)
         self.verify_now()
 
     def pop(self) -> Data:

@@ -125,8 +125,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "run":
-            n_expect = _resolve_n_expect(args)
-            p = resolve_p(args.p, n_expect) if args.stack == "compressed" else None
+            sized = args.stack == "compressed"  # a classic run reads its input once
+            n_expect = _resolve_n_expect(args) if sized else None
+            p = resolve_p(args.p, n_expect) if sized else None
             with LineSource.from_path(args.input) as source:
                 result = execute_run(
                     args.problem, source, args.stack,

@@ -61,13 +61,17 @@ class PartitionGeometry:
     """
 
     last_expected: int
-    p: int
     sizes: tuple[int, ...]
     origin: int = 1
 
     @property
     def h(self) -> int:
         return len(self.sizes)
+
+    @property
+    def p(self) -> int:
+        """The space parameter, which is also the deepest block size."""
+        return self.sizes[-1]
 
     @classmethod
     def for_input(cls, n_expect: int, p: int) -> "PartitionGeometry":
@@ -88,7 +92,7 @@ class PartitionGeometry:
         # deepest level always holds up to p explicit entries and block count
         # per parent never exceeds p.  The expected size only picks h.
         sizes = tuple(p ** (h - i) for i in range(h))
-        return cls(n_expect, p, sizes, 1)
+        return cls(n_expect, sizes, 1)
 
     def cross_level(self, u: int, v: int) -> int | None:
         """Shallowest level whose block differs between indices u and v.
@@ -112,12 +116,7 @@ class PartitionGeometry:
         """Layout for the inside of one level-`level` block starting at `start`."""
         # a level-h block is one block of its own deepest size
         rest = self.sizes[level:] or self.sizes[-1:]
-        return PartitionGeometry(
-            last_expected=start + self.sizes[level - 1] - 1,
-            p=self.p,
-            sizes=rest,
-            origin=start,
-        )
+        return PartitionGeometry(start + self.sizes[level - 1] - 1, rest, start)
 
 
 
@@ -171,10 +170,9 @@ class CompressedStack(StackInterface):
     entries counting as level h+1.  `second`'s region is held[1], the
     previous level-1 block.  `first`'s explicit run, the last group, is the
     run slot: pushes go there, and it holds the top entry; with h = 1 it is
-    the region's only group.  `ref_index` is an index in the run slot's
+    the region's only group.  `_run_end` is the last index of the run slot's
     deepest block, and starts below the origin so that the first push
-    crosses a level-1 boundary; `_run_end` is the last index of that
-    block, set with `ref_index`.
+    crosses a level-1 boundary.
 
     Unlike the classic stack's value array, every entry copy resident here
     (explicit runs, signature bottoms and floors) is held through a pointer
@@ -202,7 +200,6 @@ class CompressedStack(StackInterface):
         "snapshot",
         "floor",
         "guard_index",
-        "ref_index",
         "_run_end",
         "lists",
         "live",
@@ -245,8 +242,7 @@ class CompressedStack(StackInterface):
         return self._max_index > self.geom.last_expected
 
     def _set_ref(self, index: int) -> None:
-        """Move ref_index to index and _run_end to the end of its deepest block."""
-        self.ref_index = index
+        """Point the run slot at the deepest block holding index: set _run_end."""
         g = self.geom
         self._run_end = g.block_start(index, g.h) + g.sizes[-1] - 1
 
@@ -261,11 +257,9 @@ class CompressedStack(StackInterface):
             raise ContractError(
                 f"push index {index} not above last pushed {self._max_index}"
             )
-        # Block sizes form a divisibility chain, so two indices in the same
-        # deepest block share their block at every level; that is also why
-        # ref_index need not follow every push into its run.  ref_index is
-        # at most the last pushed index, below index, so index stays in its
-        # deepest block exactly while it is at most that block's end.
+        # Block sizes form a divisibility chain, so an index above the last
+        # pushed one that is at most _run_end shares the run's block at
+        # every level.
         if not (run := self.lists[-1]) or index > self._run_end:
             run = self._start_run(index)
             if self.snapshot is not None:
@@ -310,17 +304,13 @@ class CompressedStack(StackInterface):
         if j < 1 or j > self.k:
             raise ContractError(f"top({j}) outside declared access depth k={self.k}")
         run = self.lists[-1]
-        if j <= len(run):
+        if j <= len(run):  # the common probe, first: hull asks top(2) per point
             return run[-j]
-        deficit = j - len(run)
-        if deficit <= len(run.floor):
-            return run.floor[-deficit]
-        if j > self.live:
-            deficit = j - self.live
-            if deficit <= len(self.floor):
-                return self.floor[-deficit]
-            return None
-        run = self._top_run()
+        if j > len(run) + len(run.floor):
+            if j > self.live:
+                deficit = j - self.live
+                return self.floor[-deficit] if deficit <= len(self.floor) else None
+            run = self._top_run()
         if j <= len(run):
             return run[-j]
         deficit = j - len(run)
@@ -355,7 +345,7 @@ class CompressedStack(StackInterface):
         floor = self._floor_window()
         lists = self.lists
         w = len(lists) // 2  # groups per region
-        cross = self.geom.cross_level(self.ref_index, index)
+        cross = self.geom.cross_level(self._run_end, index)
         if cross == 1:
             self._merge(lists[1 : w + 1], lists[0])
             for i in range(w + 2, len(lists) - 2, 2):
@@ -458,9 +448,7 @@ class CompressedStack(StackInterface):
             run.floor = ()
             self.meter.free_entry(len(win))
             return win
-        # This class's top, not an override: a checking subclass compares
-        # each answer with a twin that already holds the entry being pushed.
-        win = (CompressedStack.top(self, j) for j in range(depth, 0, -1))
+        win = (self.top(j) for j in range(depth, 0, -1))
         return tuple(d for d in win if d is not None)
 
     # -- reconstruction -------------------------------------------------------
@@ -476,8 +464,8 @@ class CompressedStack(StackInterface):
         block of its level is empty: a previous run becomes the explicit run
         without a replay, and of a held list only the newest sub-block is
         expanded.  Otherwise the group's newest signature is expanded.
-        `ref_index` moves to the top, in the deepest block of the run slot,
-        before anything moves, so that it stays there when an expansion fails.
+        `_run_end` moves to the top's deepest block before anything moves,
+        so that it stays there when an expansion fails.
         """
         lists = self.lists
         w = len(lists) // 2
@@ -629,7 +617,7 @@ class CompressedStack(StackInterface):
         floor = max(self.k - 1, 0)
         runs = 2 if g.h > 1 else 1
         sigs = 2 * (g.h - 1) * (g.p - 1) + max(g.h - 2, 0) * g.p
-        return 2 * runs * (g.sizes[-1] + floor) + sigs * (1 + floor)
+        return 2 * runs * (g.p + floor) + sigs * (1 + floor)
 
     def check_space_cap(self) -> None:
         """Assert the resident-entry cap and the tail cap; O(signature count)."""
@@ -665,7 +653,9 @@ class CompressedStack(StackInterface):
                     assert g.block_start(group[0].bottom.index, c) == g.block_start(
                         group[-1].last_index, c
                     )
-        assert self._run_end == g.block_start(self.ref_index, g.h) + g.sizes[-1] - 1
+        # _run_end ends a deepest block, the one holding the run slot's entries
+        assert (self._run_end + 1 - g.origin) % g.p == 0
+        assert not lists[-1] or self._run_end - g.p < lists[-1][-1].index <= self._run_end
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
         survivors = 0

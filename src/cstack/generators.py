@@ -38,6 +38,8 @@ def generate(spec: GenSpec) -> str:
     render = _RENDERERS.get(spec.kind)
     if render is None:
         raise ValueError(f"unknown generator kind: {spec.kind!r}")
+    if spec.n < 0:
+        raise ValueError(f"input size n must be non-negative, got {spec.n}")
     text = spec.header() + "\n" + render(spec)
     if spec.out_path:
         Path(spec.out_path).write_text(text, encoding="utf-8")

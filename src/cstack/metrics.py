@@ -154,7 +154,8 @@ class RunMetrics:
         }
 
 
-SCHEDULES = ("10", "50", "100", "500", "sqrt", "root4", "root8", "log")
+_ROOTS = {"sqrt": 2, "root4": 4, "root8": 8}
+SCHEDULES = ("10", "50", "100", "500", *_ROOTS, "log")
 
 
 def resolve_p(schedule: str | int, n: int) -> int:
@@ -167,12 +168,8 @@ def resolve_p(schedule: str | int, n: int) -> int:
     if n < 2:
         raise ValueError(f"input size must be at least 2, got {n}")
     s = str(schedule)
-    if s == "sqrt":
-        p = round(n ** 0.5)
-    elif s == "root4":
-        p = round(n ** 0.25)
-    elif s == "root8":
-        p = round(n ** 0.125)
+    if s in _ROOTS:
+        p = round(n ** (1 / _ROOTS[s]))
     elif s == "log":
         p = round(math.log2(n))
     else:

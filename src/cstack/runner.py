@@ -1,28 +1,21 @@
 """Hook-driven execution loop shared by every stack-backed algorithm.
 
-An algorithm is a set of hooks: parse one input line into a payload, decide
-per element whether to pop (repeatedly) and whether to push, with optional
+An algorithm is a set of hooks (`StackAlgorithm`, which also states the
+contracts they keep): parse one input line into a payload, decide per
+element whether to pop (repeatedly) and whether to push, with optional
 pre/post/no actions around each, and a formatter for the final report.  The
-runner executes the loop, feeds the hooks read-only views of the top-k
-entries, and drains the stack into the report when the input ends.
+runner executes the loop, feeds the conditions a read-only view of the top-k
+entries (`TopAccess`), and drains the stack into the report when the input
+ends.
 
 The run and every replay share one loop, `Runner._scan`: a stack that
 declares a `replay` delegate, as the compressed stack does, gets the
 `replay_segment` of each Runner built on it, and when it needs a folded
 block back the runner re-runs the hooks over that block's input range,
 against a scratch stack, with a private copy of the context, through a
-cursor nested in the one it interrupts: a LineSource opens its input once,
-each cursor checks that the open file's size and modification time have
-not changed, and closing a cursor puts the handle back where it found it.
-The context is copied only where a replay can restart: a stack that
-declares a `snapshot` callback, as the compressed stack does, gets one per
-loop that copies the loop's context, and calls it for the pushes that start
-its runs; every other entry, and every entry of the classic stack, carries
-None as its snapshot.  A line that fails to parse is a ParseError naming
-its line number, during the run or a replay alike.  Conditions must be pure
-functions of (payload, context, top-k view), and the other hooks may mutate
-the context but nothing else the replay can observe.  On every stack,
-top(j) reads None beyond the stack's depth.
+cursor nested in the one it interrupts (`LineSource`).  The context is
+copied only where a replay can restart, through the `snapshot` callback
+that `_scan` binds on a stack that declares one.
 """
 
 from __future__ import annotations
@@ -70,10 +63,13 @@ class StackAlgorithm:
     """Base hooks. Subclasses set k and override what they need.
 
     Conditions receive `top`, a TopAccess window; positions the stack cannot
-    answer read as None.  The runner does not call a pre/post/no hook, or
-    push_condition, that is left as the base no-op (push_condition: push
-    always); override it in a subclass or set it on the instance before the
-    Runner's loop starts to have it called.
+    answer read as None.  A compressed stack rebuilds folded blocks by
+    running the hooks again over their input, so conditions must be pure
+    functions of (payload, context, top-k view), and the other hooks may
+    mutate the context but nothing else the replay can observe.  The runner
+    does not call a pre/post/no hook, or push_condition, that is left as the
+    base no-op (push_condition: push always); override it in a subclass or
+    set it on the instance before the Runner's loop starts to have it called.
     """
 
     k = 1

@@ -4,6 +4,7 @@ import pytest
 
 from cstack.cli import main
 from cstack.compressed import CompressedStack
+from cstack.generators import GEN_KINDS
 from cstack.metrics import resolve_p
 from cstack.problems import UpperHull
 
@@ -107,14 +108,40 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error" in err
 
 
-def test_undecodable_line_is_reported_by_line(tmp_path, capsys):
-    # sizing the input reads it as text too, and must leave the bad line to
-    # the run, which names it like any other malformed line
+@pytest.mark.parametrize("stack", ["classic", "compressed"])
+def test_undecodable_line_is_reported_by_line(tmp_path, capsys, stack):
+    # sizing a compressed stack's input reads it as text too, and must leave
+    # the bad line to the run, which names it like any other malformed line
     path = tmp_path / "bad.txt"
     path.write_bytes(b"5,0\n7,\xff0\n")
-    code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--input", str(path))
+    code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--stack", stack,
+                             "--input", str(path))
     assert code == 2
     assert "error: line 2: not valid UTF-8 in '7,\\\\xff0'" in err
+
+
+def test_classic_run_does_not_size_its_input(tmp_path, capsys, monkeypatch):
+    import cstack.cli as cli_mod
+
+    def no_sizing(path):
+        raise AssertionError("a classic run sized its input")
+
+    path = tmp_path / "headerless.txt"
+    path.write_text("5,0\n7,0\n9,1\n")
+    monkeypatch.setattr(cli_mod, "_count_data_lines", no_sizing)
+    code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--input", str(path))
+    assert code == 0, err
+    assert [l for l in out.splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("kind", GEN_KINDS)
+def test_generate_negative_n_is_runtime_error(tmp_path, capsys, kind):
+    path = tmp_path / "neg.txt"
+    code, out, err = run_cli(capsys, "generate", "--kind", kind, "--n", "-3",
+                             "--out", str(path))
+    assert code == 2
+    assert "n must be non-negative, got -3" in err
+    assert not path.exists()
 
 
 def test_compare_detects_divergence_exit_code(tmp_path, capsys, monkeypatch):

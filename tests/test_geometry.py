@@ -27,6 +27,16 @@ def test_sizes_strictly_decreasing_and_deepest_at_most_p():
         assert all(a > b for a, b in zip(g.sizes, g.sizes[1:]))
         assert g.sizes[-1] <= p
         assert n <= p ** (g.h + 1)
+        assert g.p == g.sizes[-1] == p
+        # so is every sub-geometry: each level of g's, and each step of a
+        # chain of level-1 ones down to a level-h block's one-block layout
+        for a in (1, n // 3 + 1, n):
+            chain = g
+            for lv in range(1, g.h + 1):
+                sub = g.sub_geometry(lv, g.block_start(a, lv))
+                chain = chain.sub_geometry(1, chain.block_start(a, 1))
+                assert sub.p == sub.sizes[-1] == chain.p == chain.sizes[-1] == p
+            assert chain.h == 1
 
 
 def test_p_below_two_rejected():
