@@ -81,9 +81,10 @@ def bench(problem: str, kind: str, stack_kind: str, schedule: str | int,
                 n_expect=n, p=p or None,
                 collect_report=False, drain_report=False,
             )
-        row = {"size": n, "p": p}
-        row.update(result.metrics.csv_fields())
-        rows.append(row)
+        m = result.metrics
+        rows.append({"size": n, "p": p, "time_s": f"{m.wall_seconds:.6f}",
+                     "peak_bytes": m.peak_bytes, "reconstructions": m.reconstructions,
+                     "final_stack_len": m.final_len})
     return rows
 
 

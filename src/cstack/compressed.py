@@ -322,7 +322,7 @@ class CompressedStack(StackInterface):
         )
 
     def dispose(self) -> None:
-        sigs, entries = self._counts(self.lists)
+        sigs, entries = self._counts(self.lists)[:2]
         self.meter.free_sig(sigs)
         self.meter.free_entry(entries)
         self._reset()
@@ -388,19 +388,14 @@ class CompressedStack(StackInterface):
         lists[i:end] = _groups(end - i)
         return parts
 
-    def _merge(self, groups, into: list) -> None:
-        """Append to `into` one signature for the parts of groups, the
-        surviving parts of one block in stack order, signature lists and runs
-        alike; append nothing when there are none.
-
-        Frees every record the fold drops before allocating the signature;
-        the bottom part's bottom and floor records move into it unchanged.
-        """
-        low = high = None
+    @staticmethod
+    def _counts(groups) -> tuple[int, int, int, list | None, list | None]:
+        """(signatures, entry copies, survivors, lowest and highest group
+        with survivors) in groups.  `_merge` reads all five to fold them
+        into one signature; `dispose` and the checks read the counts."""
         sigs = entries = count = 0
+        low = high = None
         for group in groups:
-            if not group:
-                continue
             if type(group) is Run:
                 count += len(group)
                 entries += len(group) + len(group.floor)
@@ -409,9 +404,21 @@ class CompressedStack(StackInterface):
                 for sig in group:
                     count += sig.count
                     entries += 1 + len(sig.floor)
-            if low is None:
-                low = group
-            high = group
+            if group:
+                if low is None:
+                    low = group
+                high = group
+        return sigs, entries, count, low, high
+
+    def _merge(self, groups, into: list) -> None:
+        """Append to `into` one signature for the parts of groups, the
+        surviving parts of one block in stack order, signature lists and runs
+        alike; append nothing when there are none.
+
+        Frees every record the fold drops before allocating the signature;
+        the bottom part's bottom and floor records move into it unchanged.
+        """
+        sigs, entries, count, low, high = self._counts(groups)
         if low is None:
             return
         if type(low) is Run:
@@ -575,18 +582,6 @@ class CompressedStack(StackInterface):
 
     # -- introspection (checker and tests) ---------------------------------
 
-    @staticmethod
-    def _counts(groups) -> tuple[int, int]:
-        """(signatures, entry copies) in groups."""
-        sigs = entries = 0
-        for group in groups:
-            if type(group) is Run:
-                entries += len(group) + len(group.floor)
-            else:
-                sigs += len(group)
-                entries += sum(1 + len(sig.floor) for sig in group)
-        return sigs, entries
-
     def iter_resident(self):
         """Yield (kind, data) for every resident entry copy, bottom to top."""
         for group in self.lists:
@@ -658,7 +653,6 @@ class CompressedStack(StackInterface):
         assert not lists[-1] or self._run_end - g.p < lists[-1][-1].index <= self._run_end
         floor_cap = max(self.k - 1, 0)
         prev = g.origin - 1
-        survivors = 0
         for group in lists:
             if type(group) is Run:
                 assert len(group.floor) <= floor_cap
@@ -667,11 +661,10 @@ class CompressedStack(StackInterface):
                 for d in group:
                     assert prev < d.index
                     prev = d.index
-                survivors += len(group)
                 continue
             for sig in group:
                 assert prev < sig.bottom.index <= sig.last_index
                 assert len(sig.floor) <= floor_cap
                 prev = sig.last_index
-                survivors += sig.count
+        survivors = self._counts(lists)[2]
         assert survivors == self.live, f"signatures and runs hold {survivors}, live is {self.live}"

@@ -145,14 +145,6 @@ class RunMetrics:
     max_replay_depth: int = 0
     resident_bound: int | None = None
 
-    def csv_fields(self) -> dict:
-        return {
-            "time_s": f"{self.wall_seconds:.6f}",
-            "peak_bytes": self.peak_bytes,
-            "reconstructions": self.reconstructions,
-            "final_stack_len": self.final_len,
-        }
-
 
 _ROOTS = {"sqrt": 2, "root4": 4, "root8": 8}
 SCHEDULES = ("10", "50", "100", "500", *_ROOTS, "log")
@@ -162,8 +154,9 @@ def resolve_p(schedule: str | int, n: int) -> int:
     """Resolve a symbolic space parameter for input size n, clamped to [2, n].
 
     Fixed schedules ("10", "50", "100", "500" or any integer) return their
-    constant; "sqrt", "root4", "root8" take the matching root of n; "log"
-    takes the base-2 logarithm.  Roots and logs are rounded to nearest.
+    constant, and one below 2 is an error; "sqrt", "root4", "root8" take the
+    matching root of n; "log" takes the base-2 logarithm.  Roots and logs
+    are rounded to nearest.
     """
     if n < 2:
         raise ValueError(f"input size must be at least 2, got {n}")
@@ -177,4 +170,6 @@ def resolve_p(schedule: str | int, n: int) -> int:
             p = int(s)
         except ValueError:
             raise ValueError(f"unknown p schedule: {schedule!r}") from None
+        if p < 2:
+            raise ValueError(f"space parameter p must be at least 2, got {p}")
     return max(2, min(p, n))

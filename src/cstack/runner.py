@@ -69,7 +69,8 @@ class StackAlgorithm:
     mutate the context but nothing else the replay can observe.  The runner
     does not call a pre/post/no hook, or push_condition, that is left as the
     base no-op (push_condition: push always); override it in a subclass or
-    set it on the instance before the Runner's loop starts to have it called.
+    set it on the instance before the Runner is built, which looks every
+    hook up once for its run and all its replays, to have it called.
     """
 
     k = 1
@@ -258,6 +259,10 @@ class Runner:
         self.stack = stack
         self.collect_report = collect_report
         self.drain_report = drain_report
+        # In _scan's order; post_push comes last, as replay_segment seeds with it.
+        names = ("pre_pop", "post_pop", "no_pop", "push_condition", "pre_push", "no_push",
+                 "post_push")
+        self.hooks = (algo.read_input, algo.pop_condition) + tuple(_hook(algo, n) for n in names)
         if hasattr(stack, "replay"):
             stack.replay = self.replay_segment
         self.meter: MemoryMeter = getattr(stack, "meter", None) or MemoryMeter()
@@ -267,16 +272,12 @@ class Runner:
     def run(self) -> RunResult:
         t0 = time.perf_counter()
         stack = self.stack
-        cursor = self.source.cursor(0)
-        try:
-            pushes, pops = self._scan(stack, self.algo.initialize(), cursor, 0, None)
-            final_len = stack.len()
-            report = []
-            if self.drain_report:
-                report = self._report()
-                pops += final_len
-        finally:
-            cursor.close()
+        pushes, pops = self._scan(stack, self.algo.initialize(), 0, 0, None)
+        final_len = stack.len()
+        report = []
+        if self.drain_report:
+            report = self._report()
+            pops += final_len
         wall = time.perf_counter() - t0
         bound = getattr(stack, "resident_data_bound", None)
         metrics = RunMetrics(
@@ -300,44 +301,38 @@ class Runner:
         self,
         stack: StackInterface,
         ctx: Any,
-        cursor: LineCursor,
+        pos: int,
         index: int,
         last_index: int | None,
     ) -> tuple[int, int]:
         """The hook loop: read, parse, pop while asked, push if asked.
 
-        Elements are numbered from index + 1.  The run passes last_index
-        None and stops at the end of the input; a replay stops after
-        last_index and raises ParseError if the input ends first.  Hooks and
-        stack operations are looked up once per call, and the conditions
-        share one top-k view; a hook the algorithm leaves as StackAlgorithm's
-        no-op is looked up as None and not called.  Returns the (pushes,
-        pops) this call made.
+        Reads through a cursor of the source that it opens at byte position
+        pos and closes.  Elements are numbered from index + 1.  The run
+        passes last_index None and stops at the end of the input; a replay
+        stops after last_index and raises ParseError if the input ends
+        first.  The hooks are the Runner's (None: not called); stack
+        operations are looked up once per call, and the conditions share one
+        top-k view.  Returns the (pushes, pops) this call made.
         """
-        algo = self.algo
-        read = cursor.read
-        read_input = algo.read_input
-        pop_condition = algo.pop_condition
-        pre_pop = _hook(algo, "pre_pop")
-        post_pop = _hook(algo, "post_pop")
-        no_pop = _hook(algo, "no_pop")
-        push_condition = _hook(algo, "push_condition")
-        pre_push = _hook(algo, "pre_push")
-        post_push = _hook(algo, "post_push")
-        no_push = _hook(algo, "no_push")
+        (read_input, pop_condition, pre_pop, post_pop, no_pop, push_condition,
+         pre_push, no_push, post_push) = self.hooks
         push, pop, length = stack.push, stack.pop, stack.len
-        view = TopAccess(stack, algo.k)
+        view = TopAccess(stack, self.algo.k)
         # Data's generated __new__ only packs its four arguments; the literal
         # below packs them without the Python-level call.
         new_tuple = tuple.__new__
         pushes = pops = 0
+        # Opened first, so that a failed open leaves no snapshot bound.
+        cursor = self.source.cursor(pos)
+        read = cursor.read
         # A stack that declares `snapshot` calls it for the pushes whose entry
         # a replay may restart from; it copies this call's context.  Hooks
         # mutate the context but cannot replace it, so a None context stays
         # None: there is nothing to copy.
         bound = ctx is not None and hasattr(stack, "snapshot")
         if bound:
-            clone_context = algo.clone_context
+            clone_context = self.algo.clone_context
             stack.snapshot = lambda: clone_context(ctx)
         try:
             while index != last_index:
@@ -383,6 +378,7 @@ class Runner:
         finally:
             if bound:
                 stack.snapshot = None
+            cursor.close()
         return pushes, pops
 
     def _report(self) -> list[str]:
@@ -407,13 +403,9 @@ class Runner:
         replay.  The loop's push and pop counts are dropped, so replays do
         not inflate the run's.
         """
-        algo = self.algo
-        ctx = algo.clone_context(bottom.ctx_snapshot)
+        ctx = self.algo.clone_context(bottom.ctx_snapshot)
         scratch.push(bottom)
-        algo.post_push(bottom, ctx)
-        cursor = self.source.cursor(bottom.stream_pos)
-        try:
-            self._scan(scratch, ctx, cursor, bottom.index, last_index)
-        finally:
-            cursor.close()
+        if (post_push := self.hooks[-1]) is not None:
+            post_push(bottom, ctx)
+        self._scan(scratch, ctx, bottom.stream_pos, bottom.index, last_index)
         self.meter.replay_lines += last_index - bottom.index

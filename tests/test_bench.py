@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from cstack.bench import CSV_HEADER, bench, write_csv
+from cstack.bench import CSV_HEADER, bench, ensure_input, execute_run, write_csv
+from cstack.generators import GenSpec
 from cstack.metrics import DATA_BYTES
+from cstack.runner import LineSource
 
 
 def rows_by_size(rows):
@@ -116,3 +118,17 @@ def test_csv_layout(tmp_path):
         body = list(reader)
     assert len(body) == 1
     assert body[0][0] == "1024"
+
+
+def test_metrics_csv_fields(tmp_path):
+    # bench builds the row CSV_HEADER names: exactly its columns, holding
+    # the counters of the run it measured
+    rows = bench("testrun", "xmas", "compressed", "4", [2 ** 8], rho=0.0, cache_dir=tmp_path)
+    path = ensure_input(GenSpec("xmas", 2 ** 8, 0.0, 0), tmp_path)
+    with LineSource.from_path(path) as source:
+        m = execute_run("testrun", source, "compressed", n_expect=2 ** 8, p=4,
+                        collect_report=False, drain_report=False).metrics
+    assert list(rows[0]) == CSV_HEADER
+    assert m.reconstructions > 0
+    assert (rows[0]["peak_bytes"], rows[0]["reconstructions"], rows[0]["final_stack_len"]) == (
+        m.peak_bytes, m.reconstructions, m.final_len)

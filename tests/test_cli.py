@@ -108,6 +108,21 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_explicit_p_below_two_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "three.txt"
+    path.write_text("5,0\n7,0\n9,1\n")
+    for p in ("-5", "0", "1"):
+        code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--stack",
+                                 "compressed", "--p", p, "--input", str(path))
+        assert code == 2
+        assert "space parameter p must be at least 2" in err
+    code, out, err = run_cli(capsys, "bench", "--stack", "compressed", "--p", "1",
+                             "--sizes", "4", "--out", str(tmp_path / "b.csv"),
+                             "--cache-dir", str(tmp_path / "cache"))
+    assert code == 2
+    assert "space parameter p must be at least 2" in err
+
+
 @pytest.mark.parametrize("stack", ["classic", "compressed"])
 def test_undecodable_line_is_reported_by_line(tmp_path, capsys, stack):
     # sizing a compressed stack's input reads it as text too, and must leave

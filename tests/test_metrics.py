@@ -6,7 +6,6 @@ from cstack.metrics import (
     SIG_BYTES,
     SLOT_BYTES,
     MemoryMeter,
-    RunMetrics,
     resolve_p,
 )
 
@@ -35,6 +34,12 @@ class TestResolveP:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError):
             resolve_p("cbrt", 100)
+
+    def test_explicit_p_below_two_rejected(self):
+        for p in (-5, 0, 1, "1"):
+            with pytest.raises(ValueError, match="at least 2"):
+                resolve_p(p, 16)
+        assert resolve_p("root8", 16) == 2  # a derived schedule still clamps
 
     def test_tiny_n_rejected(self):
         with pytest.raises(ValueError):
@@ -113,11 +118,3 @@ class TestMeter:
         meter2.alloc_sig()
         with pytest.raises(AccountingError):
             meter2.free_entry()
-
-
-def test_metrics_csv_fields():
-    m = RunMetrics(wall_seconds=0.5, peak_bytes=100, reconstructions=3, final_len=7)
-    fields = m.csv_fields()
-    assert fields["peak_bytes"] == 100
-    assert fields["reconstructions"] == 3
-    assert fields["final_stack_len"] == 7

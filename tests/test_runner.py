@@ -258,6 +258,22 @@ def test_a_hook_overridden_alone_is_called_in_the_run_and_in_replays(make_algo):
     assert replayed and set(replayed) <= {key for _, key in classic_calls}
 
 
+def test_a_hook_set_after_the_runner_is_built_is_not_called():
+    # A Runner binds the hooks when it is built: one set on the instance
+    # afterwards is called neither in the run nor in a replay.
+    n = 512
+    calls = []
+    algo = TestRun()
+    meter = MemoryMeter()
+    text = generate(GenSpec("xmas", n, 0.0, 0))
+    runner = Runner(algo, LineSource.from_text(text), CompressedStack(n, 2, 1, meter=meter))
+    algo.pre_push = lambda payload, ctx: calls.append(("pre_push", meter.replay_depth))
+    algo.post_push = lambda entry, ctx: calls.append(("post_push", meter.replay_depth))
+    runner.run()
+    assert meter.reconstructions > 0
+    assert calls == []
+
+
 def test_context_snapshot_taken_after_pre_push():
     # The compressed stack keeps a snapshot on the entries that start its
     # runs, the only ones a replay restarts from, taken after pre_push and
@@ -598,15 +614,37 @@ def _k2_stacks():
     return [ClassicStack(), CompressedStack(16, 2, 2)]
 
 
+class FailingPostPush(TestRun):
+    """TestRun, whose context a compressed stack snapshots, with k = 2 and a
+    post_push that raises at element 3."""
+
+    k = 2
+
+    def post_push(self, entry, ctx):
+        if entry.index == 3:
+            raise ValueError("post_push failed")
+
+
 @pytest.mark.parametrize("stack", _k2_stacks(), ids=["classic", "compressed"])
-def test_cursor_closed_when_a_hook_raises(stack):
-    src = LineSource.from_text("2,0\n1,5\n3,1\n")
-    with pytest.raises(ValueError, match="not sorted"):
-        Runner(UpperHull(), src, stack).run()
-    assert src._handle.tell() == 0  # the run's cursor handed the handle back
-    handle = src._handle
-    src.close()
-    assert handle.closed and src._handle is None
+def test_cursor_closed_when_a_hook_raises(stack, tmp_path):
+    # UpperHull has no context to snapshot; FailingPostPush's is snapshotted
+    # while the hook raises.  Either way the loop hands the handle back and
+    # unbinds the snapshot.
+    for algo, text, match in ((UpperHull(), "2,0\n1,5\n3,1\n", "not sorted"),
+                              (FailingPostPush(), "1,0\n2,0\n3,0\n", "post_push failed")):
+        stack.dispose()
+        src = LineSource.from_text(text)
+        with pytest.raises(ValueError, match=match):
+            Runner(algo, src, stack).run()
+        assert src._handle.tell() == 0  # the run's cursor handed the handle back
+        assert getattr(stack, "snapshot", None) is None
+        handle = src._handle
+        src.close()
+        assert handle.closed and src._handle is None
+    # An input that cannot be opened fails before anything is bound.
+    with pytest.raises(FileNotFoundError):
+        Runner(TestRun(), LineSource.from_path(tmp_path / "absent.txt"), stack).run()
+    assert getattr(stack, "snapshot", None) is None
 
 
 class TestTopView:
