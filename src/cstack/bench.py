@@ -71,8 +71,9 @@ def bench(problem: str, kind: str, stack_kind: str, schedule: str | int,
             raise ValueError(
                 f"size {n} exceeds the desk cap {DESK_CAP}; pass force_large to override"
             )
-        path = ensure_input(GenSpec(kind, n, rho, seed), Path(cache_dir))
+        # Resolved first, so that a bad p caches no input.
         p = resolve_p(schedule, n) if stack_kind == "compressed" else 0
+        path = ensure_input(GenSpec(kind, n, rho, seed), Path(cache_dir))
         with LineSource.from_path(path) as source:
             # The row captures the scan itself; the report drain is a
             # consumer-side cost and would rebuild every folded block.

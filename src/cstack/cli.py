@@ -18,28 +18,20 @@ from .problems import PROBLEMS
 from .runner import LineSource
 
 
-def _read_header_n(path: str) -> int | None:
-    """Expected size recorded in a generated file's header, if present."""
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline()
-    except OSError:
-        return None
-    if not first.startswith("#"):
-        return None
-    for field in first[1:].split():
-        if field.startswith("n="):
-            try:
-                return int(field[2:])
-            except ValueError:
-                return None
-    return None
-
-
-def _count_data_lines(path: str) -> int:
+def _input_size(path: str) -> int:
+    """The header's `n=` field if it is an int, else the data-line count."""
     # Undecodable bytes are left for the run, which names their line.
-    count = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        first = fh.readline()
+        if first.startswith("#"):
+            for field in first[1:].split():
+                if field.startswith("n="):
+                    try:
+                        return int(field[2:])
+                    except ValueError:
+                        break
+        fh.seek(0)
+        count = 0
         for line in fh:
             s = line.strip()
             if s and not s.startswith("#"):
@@ -47,13 +39,10 @@ def _count_data_lines(path: str) -> int:
     return count
 
 
-def _resolve_n_expect(args) -> int:
-    if args.n_expect:
-        return args.n_expect
-    n = _read_header_n(args.input)
-    if n is None:
-        n = _count_data_lines(args.input)
-    return max(n, 2)
+def _sized(args) -> tuple[int, int]:
+    """(n_expect, p) of a compressed stack: --n-expect, else the input's size."""
+    n_expect = args.n_expect or max(_input_size(args.input), 2)
+    return n_expect, resolve_p(args.p, n_expect)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,9 +114,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "run":
-            sized = args.stack == "compressed"  # a classic run reads its input once
-            n_expect = _resolve_n_expect(args) if sized else None
-            p = resolve_p(args.p, n_expect) if sized else None
+            # a classic run reads its input once
+            n_expect, p = _sized(args) if args.stack == "compressed" else (None, None)
             with LineSource.from_path(args.input) as source:
                 result = execute_run(
                     args.problem, source, args.stack,
@@ -145,8 +133,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "compare":
-            n_expect = _resolve_n_expect(args)
-            p = resolve_p(args.p, n_expect)
+            n_expect, p = _sized(args)
             algo = PROBLEMS[args.problem]()
             if args.k is not None:
                 algo.k = args.k

@@ -285,12 +285,9 @@ class CompressedStack(StackInterface):
         return d
 
     def pop_run(self) -> list[Data]:
-        """Pop the run slot's entries, top first, with one meter call.  A
-        replay's scratch pops one entry at a time, so that pop's guard keeps
-        the range bottom."""
-        if self.live == 0:
-            raise EmptyStackError("pop on empty stack")
-        if self.guard_index is not None:
+        """Pop the run slot's entries, top first, with one meter call.  `pop`
+        takes an empty stack and a replay's scratch, whose range bottom it guards."""
+        if self.live == 0 or self.guard_index is not None:
             return [self.pop()]
         if not (run := self.lists[-1]):
             run = self._top_run()
@@ -448,8 +445,6 @@ class CompressedStack(StackInterface):
         if depth <= 0:
             return ()
         run = self.lists[-1]
-        if len(run) >= depth:
-            return tuple(run[-depth:])
         if not run and run.floor:
             win = run.floor
             run.floor = ()

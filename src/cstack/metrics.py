@@ -133,7 +133,6 @@ class RunMetrics:
 
     wall_seconds: float = 0.0
     peak_bytes: int = 0
-    live_bytes: int = 0
     reconstructions: int = 0
     pushes: int = 0
     pops: int = 0

@@ -92,9 +92,6 @@ class UpperHull(StackAlgorithm):
 
     k = 2
 
-    def clone_context(self, ctx: None) -> None:
-        return None
-
     def read_input(self, line: str, ctx) -> Point2D:
         x_s, y_s = line.split(",")
         return _new_tuple(Point2D, (float(x_s), float(y_s)))

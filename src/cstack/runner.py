@@ -272,18 +272,16 @@ class Runner:
     def run(self) -> RunResult:
         t0 = time.perf_counter()
         stack = self.stack
-        pushes, pops = self._scan(stack, self.algo.initialize(), 0, 0, None)
+        pushes = self._scan(stack, self.algo.initialize(), 0, 0, None)
         final_len = stack.len()
-        report = []
-        if self.drain_report:
-            report = self._report()
-            pops += final_len
+        report = self._report() if self.drain_report else []
+        # Every pushed entry is popped, by the scan or the drain, or left.
+        pops = pushes if self.drain_report else pushes - final_len
         wall = time.perf_counter() - t0
         bound = getattr(stack, "resident_data_bound", None)
         metrics = RunMetrics(
             wall_seconds=wall,
             peak_bytes=self.meter.peak_bytes,
-            live_bytes=self.meter.live_bytes,
             reconstructions=self.meter.reconstructions,
             pushes=pushes,
             pops=pops,
@@ -304,7 +302,7 @@ class Runner:
         pos: int,
         index: int,
         last_index: int | None,
-    ) -> tuple[int, int]:
+    ) -> int:
         """The hook loop: read, parse, pop while asked, push if asked.
 
         Reads through a cursor of the source that it opens at byte position
@@ -313,7 +311,7 @@ class Runner:
         stops after last_index and raises ParseError if the input ends
         first.  The hooks are the Runner's (None: not called); stack
         operations are looked up once per call, and the conditions share one
-        top-k view.  Returns the (pushes, pops) this call made.
+        top-k view.  Returns the number of pushes this call made.
         """
         (read_input, pop_condition, pre_pop, post_pop, no_pop, push_condition,
          pre_push, no_push, post_push) = self.hooks
@@ -322,7 +320,7 @@ class Runner:
         # Data's generated __new__ only packs its four arguments; the literal
         # below packs them without the Python-level call.
         new_tuple = tuple.__new__
-        pushes = pops = 0
+        pushes = 0
         # Opened first, so that a failed open leaves no snapshot bound.
         cursor = self.source.cursor(pos)
         read = cursor.read
@@ -358,7 +356,6 @@ class Runner:
                         if pre_pop is not None:
                             pre_pop(payload, ctx)
                         popped = pop()
-                        pops += 1
                         if post_pop is not None:
                             post_pop(payload, popped, ctx)
                     else:
@@ -379,7 +376,7 @@ class Runner:
             if bound:
                 stack.snapshot = None
             cursor.close()
-        return pushes, pops
+        return pushes
 
     def _report(self) -> list[str]:
         """Drain the stack a run at a time, formatting only when collecting."""
@@ -400,8 +397,8 @@ class Runner:
         Seeds the scratch with the bottom entry, restores its context
         snapshot, and resumes reading right after the bottom's line;
         last_index is above bottom.index, as a lone survivor needs no
-        replay.  The loop's push and pop counts are dropped, so replays do
-        not inflate the run's.
+        replay.  The loop's push count is dropped, so replays do not
+        inflate the run's.
         """
         ctx = self.algo.clone_context(bottom.ctx_snapshot)
         scratch.push(bottom)

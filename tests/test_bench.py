@@ -76,6 +76,11 @@ class TestBench:
         with pytest.raises(ValueError):
             bench("testrun", "pushonly", "classic", "10", [2 ** 23], cache_dir=tmp_path)
 
+    def test_a_bad_p_caches_no_input(self, tmp_path):
+        with pytest.raises(ValueError, match="at least 2"):
+            bench("testrun", "pushonly", "compressed", "1", [16, 32], cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_inputs_cached_between_calls(self, tmp_path):
         bench("testrun", "pushonly", "classic", "10", [2 ** 10], rho=1.0,
               cache_dir=tmp_path)

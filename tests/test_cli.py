@@ -143,7 +143,7 @@ def test_classic_run_does_not_size_its_input(tmp_path, capsys, monkeypatch):
 
     path = tmp_path / "headerless.txt"
     path.write_text("5,0\n7,0\n9,1\n")
-    monkeypatch.setattr(cli_mod, "_count_data_lines", no_sizing)
+    monkeypatch.setattr(cli_mod, "_input_size", no_sizing)
     code, out, err = run_cli(capsys, "run", "--problem", "testrun", "--input", str(path))
     assert code == 0, err
     assert [l for l in out.splitlines() if not l.startswith("#")]
@@ -183,6 +183,29 @@ def test_n_expect_read_from_header(tmp_path, capsys):
                            "--input", str(path))
     assert code == 0
     assert "# degraded_estimate=false" in out
+
+
+@pytest.mark.parametrize("header", ["", "# kind=pushonly n=abc\n"])
+def test_n_expect_counts_data_lines_without_a_usable_header(tmp_path, capsys, header):
+    # 64 data lines among blank and comment lines size the stack as
+    # CompressedStack(64, 4, 1); counting a header or a blank line as data
+    # would make it 65 and the bound 32
+    lines = []
+    for v in range(64):
+        lines.append(f"{v},0")
+        if v % 8 == 0:
+            lines += ["", "# note n=9"]
+    path = tmp_path / "s.txt"
+    path.write_text(header + "\n".join(lines) + "\n")
+    argv = ("run", "--problem", "testrun", "--stack", "compressed", "--p", "4",
+            "--input", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert "# resident_bound=22" in out.splitlines()
+    assert CompressedStack(64, 4, 1).resident_data_bound() == 22
+    code, out, err = run_cli(capsys, *argv, "--n-expect", "4096")
+    assert code == 0, err
+    assert f"# resident_bound={CompressedStack(4096, 4, 1).resident_data_bound()}" in out
 
 
 def test_help_exits_zero_and_usage_errors_exit_one(capsys):

@@ -603,6 +603,45 @@ def test_pushes_and_pops_counted_without_replay_inflation():
     assert result.metrics.pops == 8  # the replayed pushes of 2..4 are not counted
 
 
+class EveryThirdDeclined(TestRun):
+    """TestRun that declines to push every third element and counts the
+    post_push and post_pop calls it sees."""
+
+    def __init__(self):
+        self.post_pushes = self.post_pops = 0
+
+    def push_condition(self, payload, ctx, top):
+        return payload.value % 3 != 0
+
+    def post_push(self, entry, ctx):
+        self.post_pushes += 1
+
+    def post_pop(self, payload, popped, ctx):
+        super().post_pop(payload, popped, ctx)
+        self.post_pops += 1
+
+
+@pytest.mark.parametrize("drain", [False, True])
+def test_pops_derived_from_pushes_when_pushes_are_declined(drain):
+    # the run counts pushes only and derives pops: every pushed entry is
+    # popped by the scan or the drain, or left on the stack
+    pairs = [(i, c) for i, (_, c) in enumerate(random_trace(random.Random(25), 300), 1)]
+    counts = {}
+    for name, stack in (("classic", ClassicStack()), ("compressed", CompressedStack(300, 2))):
+        algo = EveryThirdDeclined()
+        runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), stack,
+                        drain_report=drain)
+        m = runner.run().metrics
+        counts[name] = (m.pushes, m.pops)
+        if name == "classic":
+            assert m.pushes == 200 and m.final_len > 0 and algo.post_pops > 0
+            drained = m.final_len if drain else 0
+            assert counts[name] == (algo.post_pushes, algo.post_pops + drained)
+        else:
+            assert runner.meter.reconstructions > 0
+    assert counts["compressed"] == counts["classic"]
+
+
 def test_classic_runs_count_zero_reconstructions():
     src = LineSource.from_text("5,0\n7,1\n")
     runner = Runner(TestRun(), src, ClassicStack())
