@@ -3,10 +3,10 @@
 `TwinStack` is a `CompressedStack` that mirrors every operation onto its own
 classic stack and raises `DivergenceError` at the first answer they disagree
 on.  It declares what every compressed stack declares, so a Runner binds its
-replays and snapshots and reads its k, meter and degraded flag as it does
-for any other.  `run_checked` runs an algorithm over an input on a twin,
-with its resident copies compared against the classic stack after every
-push and pop.
+replays and snapshots and reads its k, meter and degraded flag (its layout
+grew, under the same checks) as it does for any other.  `run_checked` runs
+an algorithm over an input on a twin, with its resident copies compared
+against the classic stack after every push and pop.
 """
 
 from __future__ import annotations

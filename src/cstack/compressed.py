@@ -56,8 +56,8 @@ class PartitionGeometry:
     blocks tile the input starting at `origin`, and each deeper level tiles
     the inside of its parent block, so a boundary at level i is by
     construction also a boundary at every level below i.  `last_expected` is
-    the absolute index the layout was sized for; pushes beyond it still work
-    (the level-1 tiling just continues) but mark the run as degraded.
+    the last index the layout covers: the end of its p-th level-1 block, or
+    of its one block in a replay's layout of one deepest block.
     """
 
     last_expected: int
@@ -82,17 +82,17 @@ class PartitionGeometry:
             raise ContractError(f"space parameter p must be at least 2, got {p}")
         if n_expect < 1:
             raise ContractError(f"expected input size must be positive, got {n_expect}")
-        exp = 0
-        v = 1
-        while v < n_expect:
-            v *= p
-            exp += 1
-        h = max(1, exp - 1)
-        # Power-of-p extents: a level-i block spans p^(h-i+1) positions, so the
-        # deepest level always holds up to p explicit entries and block count
-        # per parent never exceeds p.  The expected size only picks h.
-        sizes = tuple(p ** (h - i) for i in range(h))
-        return cls(n_expect, sizes, 1)
+        # Power-of-p extents: a deepest block holds up to p explicit entries,
+        # and a parent at most p blocks.  The expected size only picks h.
+        g = cls(p * p, (p,))
+        while g.last_expected < n_expect:
+            g = g.grown()
+        return g
+
+    def grown(self) -> "PartitionGeometry":
+        """The layout one level deeper whose first level-1 block is this one."""
+        s = self.p * self.sizes[0]
+        return PartitionGeometry(self.origin - 1 + self.p * s, (s, *self.sizes), self.origin)
 
     def cross_level(self, u: int, v: int) -> int | None:
         """Shallowest level whose block differs between indices u and v.
@@ -172,7 +172,8 @@ class CompressedStack(StackInterface):
     run slot: pushes go there, and it holds the top entry; with h = 1 it is
     the region's only group.  `_run_end` is the last index of the run slot's
     deepest block, and starts below the origin so that the first push
-    crosses a level-1 boundary.
+    crosses a level-1 boundary.  `geom` grows a level when a push goes
+    beyond it; `dispose` restores the layout the stack was built with.
 
     Unlike the classic stack's value array, every entry copy resident here
     (explicit runs, signature bottoms and floors) is held through a pointer
@@ -194,6 +195,7 @@ class CompressedStack(StackInterface):
 
     __slots__ = (
         "geom",
+        "_built",
         "k",
         "meter",
         "replay",
@@ -219,7 +221,7 @@ class CompressedStack(StackInterface):
             geometry = PartitionGeometry.for_input(n_expect, p)
         if k < 0:
             raise ContractError(f"access depth k must be non-negative, got {k}")
-        self.geom = geometry
+        self._built = geometry
         self.k = k
         self.meter = meter if meter is not None else MemoryMeter()
         self.replay: Callable | None = None
@@ -229,7 +231,8 @@ class CompressedStack(StackInterface):
         self._reset()
 
     def _reset(self) -> None:
-        """Empty the layout, so that the next push starts it afresh."""
+        """Empty the stack on the layout it was built with, for the next push."""
+        self.geom = self._built
         w = 2 * self.geom.h - 1
         self._set_ref(self.geom.origin - 1)
         self.lists: list[list] = [[]] + _groups(w) + _groups(w)
@@ -238,8 +241,8 @@ class CompressedStack(StackInterface):
 
     @property
     def degraded(self) -> bool:
-        """Whether a push went beyond the index the layout was sized for."""
-        return self._max_index > self.geom.last_expected
+        """Whether a push beyond the layout the stack was built with grew it."""
+        return self.geom is not self._built
 
     def _set_ref(self, index: int) -> None:
         """Point the run slot at the deepest block holding index: set _run_end."""
@@ -320,9 +323,11 @@ class CompressedStack(StackInterface):
 
     def dispose(self) -> None:
         sigs, entries = self._counts(self.lists)[:2]
-        self.meter.free_sig(sigs)
-        self.meter.free_entry(entries)
-        self._reset()
+        try:
+            self.meter.free_sig(sigs)
+            self.meter.free_entry(entries)
+        finally:
+            self._reset()
 
     # -- folding ------------------------------------------------------------
 
@@ -333,7 +338,9 @@ class CompressedStack(StackInterface):
         Crossing into a new level-1 block folds `second`'s region into one
         tail signature and makes `first`'s region `second`'s, folding the
         held block of each of its middle levels into one signature; its
-        previous run stays.  Crossing a boundary at level c > 1 keeps the
+        previous run stays.  An index beyond the layout first grows it a
+        level at a time, each time making the whole layout the first block
+        of a new level 1.  Crossing a boundary at level c > 1 keeps the
         finished level-c block, if anything of it survives, as held[c],
         which displaces (and folds) the block held there before.
         """
@@ -344,6 +351,10 @@ class CompressedStack(StackInterface):
         w = len(lists) // 2  # groups per region
         cross = self.geom.cross_level(self._run_end, index)
         if cross == 1:
+            while index > self.geom.last_expected:
+                lists[:] = [[]] + _groups(w + 2) + self._as_parts()
+                self.geom = self.geom.grown()
+                w += 2
             self._merge(lists[1 : w + 1], lists[0])
             for i in range(w + 2, len(lists) - 2, 2):
                 self._merge([lists[i]], lists[i - 1])
@@ -384,6 +395,11 @@ class CompressedStack(StackInterface):
                 self._merge(groups, parts)
         lists[i:end] = _groups(end - i)
         return parts
+
+    def _as_parts(self) -> list:
+        """The groups as one block's parts a level up, from its done[2]: the
+        tail, `second` split by level-2 block as held[2], then `first`'s."""
+        return [self.lists[0], self._split(1, 1)] + self.lists[len(self.lists) // 2 + 1 :]
 
     @staticmethod
     def _counts(groups) -> tuple[int, int, int, list | None, list | None]:
@@ -505,9 +521,8 @@ class CompressedStack(StackInterface):
         bottom and its floor become the run slot.  Otherwise the
         replay runs on a scratch stack restricted to the signature's block,
         where level i is level lv + i here, and must rebuild exactly the
-        signature's survivors, ending on its top entry; the scratch's groups
-        then replace the region's from done[lv+1] up: its tail, its `second`
-        split into sub-blocks as held[lv+1], then the groups of its `first`.
+        signature's survivors, ending on its top entry; `_as_parts` of the
+        scratch then replaces the region's groups from done[lv+1] up.
         Only a failed replay releases the scratch; it also puts the
         signature back to lists[src], so the stack stays whole and a retry
         fails the same way.  Both count as a reconstruction.  An exception
@@ -555,7 +570,10 @@ class CompressedStack(StackInterface):
                 raise StackError("level-h replay produced sub-block signatures")
         except BaseException as exc:
             lists[src].append(sig)
-            scratch.dispose()
+            try:
+                scratch.dispose()
+            except AccountingError:
+                pass  # an imbalance the failed replay left; its exception names it
             # A hook that raised only here broke the replay contract; the
             # stack's own errors, the input's and the system's (re-reading
             # the input, allocating) already name what failed.
@@ -568,10 +586,7 @@ class CompressedStack(StackInterface):
             raise
         finally:
             meter.replay_depth -= 1
-        inner = groups[len(groups) // 2 + 1 :]  # the scratch's `first`
-        if lv < g.h:
-            inner = [groups[0], scratch._split(1, 1)] + inner
-        lists[base + 2 * lv - 2 :] = inner
+        lists[base + 2 * lv - 2 :] = scratch._as_parts() if lv < g.h else groups[-1:]
         meter.free_sig()
         meter.free_entry(1 + len(sig.floor))
 
@@ -616,7 +631,7 @@ class CompressedStack(StackInterface):
         if count > bound:
             raise AssertionError(f"resident entry count {count} exceeds cap {bound}")
         tail = len(self.lists[0])
-        if tail > max(0, self.geom.p - 2) and not self.degraded:
+        if tail > max(0, self.geom.p - 2):
             raise AssertionError(f"tail holds {tail} signatures, cap is {self.geom.p - 2}")
 
     def check_invariants(self) -> None:

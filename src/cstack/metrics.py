@@ -128,7 +128,7 @@ class RunMetrics:
     `promotions` and `max_replay_depth` are the meter's counters of the same
     names.  `resident_bound` is the stack's `resident_data_bound()`, the cap
     on the entry copies its two detailed regions hold, or None for a stack
-    that declares none.
+    that declares none.  `degraded_estimate`: the stack's layout grew.
     """
 
     wall_seconds: float = 0.0

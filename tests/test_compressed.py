@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstack.compressed import CompressedStack
+from cstack.checker import TwinStack
+from cstack.compressed import CompressedStack, PartitionGeometry
 from cstack.core import (
+    AccountingError,
     ClassicStack,
     ContractError,
     Data,
@@ -501,28 +503,93 @@ class TestOverflow:
         pairs = [(i, 0) for i in range(1, 33)]
         result, twin = run_twin_testrun(pairs, p=2, n_expect=16)
         assert result.metrics.degraded_estimate
-        # drain happened, so re-run undrained to inspect the tail growth
+        # drain happened, so re-run undrained to inspect the tail: the
+        # layout grew instead of tiling on past its cap
         result2, runner, cs, meter = run_testrun(pairs, p=2, n_expect=16, drain=False)
-        assert len(cs.lists[0]) > cs.geom.p - 2
+        assert result2.metrics.degraded_estimate
+        assert len(cs.lists[0]) <= cs.geom.p - 2
 
     def test_exact_estimate_never_degrades(self):
         pairs = [(i, 0) for i in range(1, 33)]
         result, runner, cs, meter = run_testrun(pairs, p=2, n_expect=32, drain=False)
         assert not result.metrics.degraded_estimate
 
-    def test_undersized_estimate_uses_more_memory(self):
-        # a low size estimate splits the input into many more top-level
-        # blocks, so the compressed tail grows well past its usual cap
+    def test_undersized_estimate_uses_no_more_memory(self):
+        # a low size estimate grows the layout to the one the exact estimate
+        # builds, so the push-only run peaks at the same bytes
         pairs = [(i, 0) for i in range(1, 1025)]
         exact, *_ = run_testrun(pairs, p=4, n_expect=1024, drain=False)
         under, *_ = run_testrun(pairs, p=4, n_expect=256, drain=False)
         assert under.metrics.degraded_estimate
-        assert under.metrics.peak_bytes > exact.metrics.peak_bytes
+        assert under.metrics.peak_bytes == exact.metrics.peak_bytes == 3776
 
     def test_oversized_estimate_never_degrades(self):
         pairs = [(i, 0) for i in range(1, 1025)]
         over, *_ = run_testrun(pairs, p=2, n_expect=4096, drain=False)
         assert not over.metrics.degraded_estimate
+
+
+class SkipsAStretch(TestRun):
+    """A TestRun that declines the pushes of the values lo..hi."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def push_condition(self, payload, ctx, top):
+        return not self.lo <= payload.value <= self.hi
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("name", ["points", "pushonly", "xmas"])
+    @pytest.mark.parametrize("n_expect", [16, 512])
+    @pytest.mark.parametrize("p", [3, 15])
+    def test_undersized_estimate_grows_to_the_sized_layout(self, name, n_expect, p):
+        # Every element is pushed, so the layout grows to the one an exact
+        # estimate builds, and the tail stays within its cap (the twin checks
+        # the invariants after every push and pop).
+        n = 4096
+        kind, rho, problem = GOLDEN_INPUTS[name]
+        algo = PROBLEMS[problem]
+        text = generate(GenSpec(kind, n, rho, 0))
+        classic = Runner(algo(), LineSource.from_text(text), ClassicStack()).run()
+        twin = TwinStack(n_expect, p, algo.k, deep=True)
+        result = Runner(algo(), LineSource.from_text(text), twin).run()
+        m = result.metrics
+        assert result.report == classic.report
+        assert m.degraded_estimate
+        assert twin.geom.sizes == PartitionGeometry.for_input(n, p).sizes
+        assert m.peak_entries <= m.resident_bound + algo.k * (p - 2)
+
+    def test_one_push_grows_several_levels(self):
+        # p=2 sized for 16: the push of 201 grows the layout to cover 256
+        pairs = [(i, 0) for i in range(1, 211)]
+        result, twin = run_twin_testrun(pairs, p=2, n_expect=16, deep=True,
+                                        algo=SkipsAStretch(11, 200))
+        assert twin.geom.sizes == PartitionGeometry.for_input(256, 2).sizes
+        assert result.report == [str(v) for v in [*range(210, 200, -1), *range(10, 0, -1)]]
+        twin.dispose()
+        assert twin.meter.live_bytes == 0
+
+    def test_a_disposed_grown_stack_reruns_as_a_new_one(self):
+        text = generate(GenSpec("xmas", 4096, 0.0, 0))
+        meter = MemoryMeter()
+        cs = CompressedStack(64, 4, 1, meter=meter)
+        built = cs.geom
+        counts = []
+        for _ in range(2):
+            assert Runner(TestRun(), LineSource.from_text(text), cs).run().metrics.degraded_estimate
+            counts.append((meter.reconstructions, meter.replay_lines, meter.promotions))
+            cs.dispose()
+            assert cs.geom is built and not cs.degraded
+            assert meter.live_bytes == 0
+        assert counts[1] == tuple(2 * c for c in counts[0])
+
+    def test_an_estimate_the_layout_covers_is_not_flagged(self):
+        # p=15 sized for 4096 builds sizes (3375, 225, 15), which cover 15^4
+        pairs = [(i, 0) for i in range(1, 8193)]
+        result, runner, cs, meter = run_testrun(pairs, p=15, n_expect=4096, drain=False)
+        assert cs.geom == PartitionGeometry.for_input(8192, 15)
+        assert not result.metrics.degraded_estimate
 
 
 def test_zero_reconstructions_without_pops():
@@ -756,3 +823,65 @@ def test_a_push_whose_run_start_failed_can_be_retried():
     assert errors[0][1] == "no replay delegate bound; cannot reconstruct"
     cs.dispose()
     assert meter.live_bytes == 0
+
+
+class FailingMeter(MemoryMeter):
+    """A meter whose `fail_at`-th byte call raises MemoryError before it
+    counts anything; `calls` counts the byte calls made."""
+
+    __slots__ = ("calls", "fail_at")
+
+    def __init__(self, fail_at=0):
+        super().__init__()
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def _call(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise MemoryError
+
+    def alloc_entry(self, count=1):
+        self._call()
+        super().alloc_entry(count)
+
+    def free_entry(self, count=1):
+        self._call()
+        super().free_entry(count)
+
+    def alloc_sig(self, count=1):
+        self._call()
+        super().alloc_sig(count)
+
+    def free_sig(self, count=1):
+        self._call()
+        super().free_sig(count)
+
+
+def test_dispose_after_a_memory_error_empties_the_stack():
+    # A MemoryError at any byte call may leave the stack and its meter out
+    # of step; dispose still empties the stack and restores the layout it
+    # was built with, so the next run matches a fresh stack's.
+    text = generate(GenSpec("xmas", 1024, 0.0, 0))
+    fields = ("reconstructions", "replay_lines", "peak_bytes", "promotions", "pops",
+              "final_len", "degraded_estimate")
+
+    def run(cs):
+        result = Runner(TestRun(), LineSource.from_text(text), cs).run()
+        return result.report, tuple(getattr(result.metrics, f) for f in fields)
+
+    meter = FailingMeter()
+    fresh = run(CompressedStack(32, 3, 1, meter=meter))
+    assert fresh[1][-1]  # the layout grows
+    for t in random.Random(0).sample(range(1, meter.calls + 1), 30):
+        cs = CompressedStack(32, 3, 1, meter=FailingMeter(t))
+        with pytest.raises(MemoryError):
+            run(cs)
+        try:
+            cs.dispose()
+        except AccountingError:
+            pass  # the failed call left the meter short of what the stack held
+        assert cs.live == 0 and not any(cs.lists)
+        assert not cs.degraded
+        cs.meter = MemoryMeter()
+        assert run(cs) == fresh

@@ -39,6 +39,17 @@ def test_sizes_strictly_decreasing_and_deepest_at_most_p():
             assert chain.h == 1
 
 
+def test_for_input_picks_the_fewest_powers_of_p_that_cover_n():
+    for p in (2, 3, 4, 7, 15, 64, 181):
+        for n in sorted({1, 2, p, p + 1, p * p, p * p + 1, 1000, 4096, 32768, 10 ** 6}):
+            g = PartitionGeometry.for_input(n, p)
+            h = g.h
+            assert g.sizes == tuple(p ** (h - i) for i in range(h))
+            assert g.last_expected == p ** (h + 1) >= n
+            assert h == 1 or p ** h < n
+            assert g.grown() == PartitionGeometry.for_input(g.last_expected + 1, p)
+
+
 def test_p_below_two_rejected():
     with pytest.raises(ContractError):
         PartitionGeometry.for_input(100, 1)
