@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import operator
 
-from .compressed import CompressedStack
+from .compressed import CompressedStack, Run
 from .core import ClassicStack, Data
 from .metrics import MemoryMeter
 from .runner import LineSource, Runner, StackAlgorithm
@@ -39,14 +39,14 @@ class TwinStack(CompressedStack):
     """A compressed stack checked in lockstep against a classic one.
 
     Built like the compressed stack it is; every push/pop/top/len/dispose
-    also goes to the classic stack, and the answers must agree, those to the
-    top probes a push makes to copy its floor included; pop_run pops as many
-    classic entries as it returns and matches each one.  With deep=True,
-    after each push, pop and pop_run all entry copies resident in the
-    compressed structure (explicit runs, signature bottoms, floors) are
-    checked against the classic stack's entry at the same index, and the
-    floor an emptied run slot keeps must be the classic stack's top entries.
-    Otherwise only the space cap is checked.
+    also goes to the classic stack, and the answers must agree; pop_run pops
+    as many classic entries as it returns and matches each one.  With
+    deep=True, after each push, pop and pop_run all entry copies resident in
+    the compressed structure (explicit runs, signature bottoms, floors) are
+    checked against the classic stack's entry at the same index, and every
+    floor against the classic entries directly below its bottom, or below
+    the next push for an emptied run slot: a push copies a floor from its
+    run slot without probing top.  Otherwise only the space cap is checked.
     """
 
     __slots__ = ("classic", "deep", "ordinal")
@@ -60,7 +60,7 @@ class TwinStack(CompressedStack):
 
     def push(self, d: Data) -> None:
         self.ordinal += 1
-        # compressed first: its floor copy reads top, which classic answers without d
+        # compressed first: a floor copy that reads top is answered by classic without d
         super().push(d)
         self.classic.push(d)
         self.verify_now()
@@ -121,10 +121,17 @@ class TwinStack(CompressedStack):
                     self.ordinal,
                     f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
                 )
-        run = self.lists[-1]
-        top = entries[-len(run.floor):] if run.floor else []
-        if not run and list(map(_key, top)) != list(map(_key, run.floor)):
-            raise DivergenceError(self.ordinal, "empty run slot's floor is not the top entries")
+        # Every floor holds the classic entries directly below its bottom; an
+        # emptied run slot's, those below the next push: the top ones.
+        depth = max(self.k - 1, 0)
+        owners = [(s.bottom, s.floor) for g in self.lists if type(g) is not Run for s in g]
+        owners += [(g[0] if g else None, g.floor) for g in self.lists
+                   if type(g) is Run and (g or g.floor)]
+        for bottom, floor in owners:
+            i = bisect.bisect_left(entries, bottom.index, key=index_of) if bottom else len(entries)
+            if list(map(_key, entries[max(0, i - depth) : i])) != list(map(_key, floor)):
+                raise DivergenceError(self.ordinal, f"floor below {bottom!r} is not "
+                                      "the classic entries there")
         self.check_invariants()
 
 

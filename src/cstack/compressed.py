@@ -172,8 +172,10 @@ class CompressedStack(StackInterface):
     run slot: pushes go there, and it holds the top entry; with h = 1 it is
     the region's only group.  `_run_end` is the last index of the run slot's
     deepest block, and starts below the origin so that the first push
-    crosses a level-1 boundary.  `geom` grows a level when a push goes
-    beyond it; `dispose` restores the layout the stack was built with.
+    crosses a level-1 boundary.  Most run starts cross a level-h boundary
+    only: the run moves into held[h] whole, folding just what held[h] held.
+    `geom` grows a level when a push goes beyond it; `dispose` restores the
+    layout the stack was built with.
 
     Unlike the classic stack's value array, every entry copy resident here
     (explicit runs, signature bottoms and floors) is held through a pointer
@@ -193,20 +195,8 @@ class CompressedStack(StackInterface):
     replays.
     """
 
-    __slots__ = (
-        "geom",
-        "_built",
-        "k",
-        "meter",
-        "replay",
-        "snapshot",
-        "floor",
-        "guard_index",
-        "_run_end",
-        "lists",
-        "live",
-        "_max_index",
-    )
+    __slots__ = ("geom", "_built", "k", "meter", "replay", "snapshot", "floor", "guard_index",
+                 "_run_end", "lists", "live", "_max_index")
 
     def __init__(
         self,
@@ -246,8 +236,8 @@ class CompressedStack(StackInterface):
 
     def _set_ref(self, index: int) -> None:
         """Point the run slot at the deepest block holding index: set _run_end."""
-        g = self.geom
-        self._run_end = g.block_start(index, g.h) + g.sizes[-1] - 1
+        p = self.geom.sizes[-1]
+        self._run_end = index + p - 1 - (index - self.geom.origin) % p
 
     # -- public stack interface -------------------------------------------
 
@@ -364,7 +354,8 @@ class CompressedStack(StackInterface):
             parts = self._split(w + 1, cross)
             if parts:
                 i = w + 2 * cross - 2  # held[cross] of `first`
-                self._merge([lists[i]], lists[i - 1])
+                if lists[i]:
+                    self._merge([lists[i]], lists[i - 1])
                 lists[i] = parts
         self._set_ref(index)
         run = lists[-1]
@@ -393,7 +384,9 @@ class CompressedStack(StackInterface):
         if i < end - 1:
             for groups in (lists[i + 1 : i + 2], lists[i + 2 : end]):
                 self._merge(groups, parts)
-        lists[i:end] = _groups(end - i)
+            lists[i:end] = _groups(end - i)
+        else:  # c = h: the run alone
+            lists[i] = Run()
         return parts
 
     def _as_parts(self) -> list:
@@ -453,21 +446,22 @@ class CompressedStack(StackInterface):
         off the meter.
 
         A floor is read only below at least one entry of its own run, so
-        k-1 entries answer every top-k probe.  An emptied run slot's floor
-        holds them; otherwise they are read from the top, and on a replay's
-        scratch stack the entries below its live ones are its own floor.
+        k-1 entries answer every top-k probe.  A run slot that holds k-1
+        entries gives its top ones, and an emptied one's floor holds them,
+        both without a call to `top`.  Otherwise they are read through
+        `top`, which may rebuild the run, and on a replay's scratch stack the
+        entries below its live ones are its own floor.
         """
         depth = self.k - 1
-        if depth <= 0:
-            return ()
         run = self.lists[-1]
+        if len(run) >= depth:  # also k <= 1, where the slice is empty
+            return tuple(run[len(run) - depth :])
         if not run and run.floor:
             win = run.floor
             run.floor = ()
             self.meter.free_entry(len(win))
             return win
-        win = (self.top(j) for j in range(depth, 0, -1))
-        return tuple(d for d in win if d is not None)
+        return tuple(d for j in range(depth, 0, -1) if (d := self.top(j)) is not None)
 
     # -- reconstruction -------------------------------------------------------
 
@@ -551,8 +545,7 @@ class CompressedStack(StackInterface):
         scratch.floor = sig.floor
         scratch.guard_index = low
         meter.replay_depth += 1
-        if meter.replay_depth > meter.max_replay_depth:
-            meter.max_replay_depth = meter.replay_depth
+        meter.max_replay_depth = max(meter.max_replay_depth, meter.replay_depth)
         try:
             if self.replay is None:
                 raise StackError("no replay delegate bound; cannot reconstruct")

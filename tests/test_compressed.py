@@ -16,8 +16,8 @@ from cstack.core import (
 )
 from cstack.generators import GenSpec, generate
 from cstack.metrics import MemoryMeter, resolve_p
-from cstack.problems import PROBLEMS, TestRun
-from cstack.runner import LineSource, Runner
+from cstack.problems import TestRun, UpperHull
+from cstack.runner import LineSource, ParseError, Runner
 
 from helpers import pairs_to_text, random_trace, run_testrun, run_twin_testrun
 from oracles import replay_testrun
@@ -548,8 +548,7 @@ class TestGrowth:
         # estimate builds, and the tail stays within its cap (the twin checks
         # the invariants after every push and pop).
         n = 4096
-        kind, rho, problem = GOLDEN_INPUTS[name]
-        algo = PROBLEMS[problem]
+        kind, rho, algo = GOLDEN_INPUTS[name]
         text = generate(GenSpec(kind, n, rho, 0))
         classic = Runner(algo(), LineSource.from_text(text), ClassicStack()).run()
         twin = TwinStack(n_expect, p, algo.k, deep=True)
@@ -620,6 +619,26 @@ def test_dispose_returns_all_bytes():
     assert meter.live_bytes == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_set_ref_ends_the_deepest_block_of_its_index(data):
+    # _set_ref works _run_end out with one modulo on p; it must still be the
+    # last index of the deepest block holding the index, below the origin
+    # too, where a fresh stack points it so that its first push crosses.
+    p = data.draw(st.integers(2, 12))
+    sizes = (p,)
+    for _ in range(data.draw(st.integers(0, 3))):
+        sizes = (sizes[0] * data.draw(st.integers(2, 5)), *sizes)
+    origin = data.draw(st.integers(1, 10 ** 6))
+    g = PartitionGeometry(origin - 1 + p * sizes[0], sizes, origin)
+    cs = CompressedStack(geometry=g)
+    assert cs._run_end == origin - 1
+    inside = st.lists(st.integers(origin, g.last_expected), max_size=20)
+    for index in [origin - 1, *data.draw(inside)]:
+        cs._set_ref(index)
+        assert cs._run_end == g.block_start(index, g.h) + p - 1
+
+
 # Counters of the reference implementation on fixed inputs (n=2^11, seed 0,
 # n_expect=n): (reconstructions, replay_lines, peak_bytes, final_len, pops,
 # promotions, max_replay_depth, peak_data).
@@ -627,9 +646,12 @@ def test_dispose_returns_all_bytes():
 # or holds resident shows here.
 GOLDEN_N = 2 ** 11
 GOLDEN_INPUTS = {
-    "xmas": ("xmas", 0.0, "testrun"),
-    "points": ("points", 0.0, "upperhull"),
-    "pushonly": ("pushonly", 1.0, "testrun"),
+    "xmas": ("xmas", 0.0, TestRun),
+    "points": ("points", 0.0, UpperHull),
+    "pushonly": ("pushonly", 1.0, TestRun),
+    # k=3: two-entry floors, most of them copied straight from the run slot
+    "xmas-k3": ("xmas", 0.5, DeepProbingTestRun),
+    "pushonly-k3": ("pushonly", 0.5, DeepProbingTestRun),
 }
 GOLDEN = {
     ("xmas", "2", "scan"): (203, 749, 2024, 340, 1708, 555, 1, 19),
@@ -650,14 +672,26 @@ GOLDEN = {
     ("pushonly", "log", "drained"): (169, 3230, 7504, 2048, 2048, 18, 1, 86),
     ("pushonly", "sqrt", "scan"): (0, 0, 11488, 2048, 0, 0, 0, 156),
     ("pushonly", "sqrt", "drained"): (43, 1892, 11488, 2048, 2048, 2, 1, 156),
+    ("xmas-k3", "2", "scan"): (570, 1714, 4960, 340, 1708, 989, 3, 68),
+    ("xmas-k3", "2", "drained"): (837, 3321, 4960, 340, 2048, 1458, 3, 70),
+    ("xmas-k3", "log", "scan"): (125, 1177, 7096, 340, 1708, 142, 2, 97),
+    ("xmas-k3", "log", "drained"): (204, 2289, 7096, 340, 2048, 190, 2, 97),
+    ("xmas-k3", "sqrt", "scan"): (17, 405, 8720, 340, 1708, 45, 1, 126),
+    ("xmas-k3", "sqrt", "drained"): (43, 987, 8720, 340, 2048, 47, 1, 126),
+    ("pushonly-k3", "2", "scan"): (938, 3518, 6064, 989, 1059, 1591, 3, 82),
+    ("pushonly-k3", "2", "drained"): (2378, 9868, 6232, 989, 2048, 3705, 3, 85),
+    ("pushonly-k3", "log", "scan"): (11, 83, 11256, 989, 1059, 195, 1, 153),
+    ("pushonly-k3", "log", "drained"): (180, 2955, 11256, 989, 2048, 362, 1, 153),
+    ("pushonly-k3", "sqrt", "scan"): (0, 0, 13392, 989, 1059, 36, 0, 190),
+    ("pushonly-k3", "sqrt", "drained"): (43, 1814, 13392, 989, 2048, 38, 1, 190),
 }
 
 
 @pytest.mark.parametrize("name,schedule,mode", sorted(GOLDEN))
 def test_golden_counters(name, schedule, mode):
-    kind, rho, problem = GOLDEN_INPUTS[name]
+    kind, rho, algo_cls = GOLDEN_INPUTS[name]
     text = generate(GenSpec(kind, GOLDEN_N, rho, 0))
-    algo = PROBLEMS[problem]()
+    algo = algo_cls()
     meter = MemoryMeter()
     cs = CompressedStack(GOLDEN_N, resolve_p(schedule, GOLDEN_N), algo.k, meter=meter)
     drain = mode == "drained"
@@ -885,3 +919,63 @@ def test_dispose_after_a_memory_error_empties_the_stack():
         assert not cs.degraded
         cs.meter = MemoryMeter()
         assert run(cs) == fresh
+
+
+class HookFault(Exception):
+    """The fault a sweep injects into one hook."""
+
+
+def _fault_at(algo, name, t):
+    """Make algo's hook `name` raise HookFault at its t-th call, counting
+    from 1 over the run, its replays and its drain; return the call count."""
+    hook = getattr(algo, name)
+    calls = [0]
+
+    def faulty(*args):
+        calls[0] += 1
+        if calls[0] == t:
+            raise HookFault(f"{name} call {t}")
+        return hook(*args)
+
+    setattr(algo, name, faulty)
+    return calls
+
+
+# Every hook each problem has, on inputs small enough that every 23rd call
+# ordinal takes a few seconds; replays make most of the calls.
+HOOK_SWEEP = [
+    ("xmas", 256, 2, TestRun, "post_pop"),
+    ("xmas", 300, 3, TestRun, "post_pop"),
+    ("points", 200, 3, UpperHull, "push_condition"),
+]
+
+
+@pytest.mark.parametrize("kind,n,p,algo_cls,own", HOOK_SWEEP)
+def test_sampled_hook_faults_surface_and_dispose_cleanly(kind, n, p, algo_cls, own):
+    # A hook that raises, in the scan, a replay or the drain, surfaces as its
+    # own error, a ParseError (read_input) or a DeterminismError (a hook that
+    # raised only in a replay), with the fault as the cause.  The stack stays
+    # whole: dispose frees every byte, and a clean rerun matches classic.
+    text = generate(GenSpec(kind, n, 0.0, 3))
+    expected = Runner(algo_cls(), LineSource.from_text(text), ClassicStack()).run().report
+    for name in ("initialize", "clone_context", "read_input", "pop_condition",
+                 "report_line", own):
+        algo = algo_cls()
+        calls = _fault_at(algo, name, 0)
+        Runner(algo, LineSource.from_text(text), CompressedStack(n, p, algo.k)).run()
+        for t in range(1, calls[0] + 1, 23):
+            algo = algo_cls()
+            _fault_at(algo, name, t)
+            meter = MemoryMeter()
+            cs = CompressedStack(n, p, algo.k, meter=meter)
+            with pytest.raises((HookFault, ParseError, DeterminismError)) as exc:
+                Runner(algo, LineSource.from_text(text), cs).run()
+            err = exc.value
+            while not isinstance(err, HookFault):
+                err = err.__cause__
+                assert err is not None, f"{name} call {t} surfaced as {exc.value!r}"
+            cs.check_invariants()
+            cs.dispose()
+            assert meter.live_bytes == 0
+            rerun = Runner(algo_cls(), LineSource.from_text(text), cs).run()
+            assert rerun.report == expected
