@@ -5,14 +5,15 @@ classic stack and raises `DivergenceError` at the first answer they disagree
 on.  It declares what every compressed stack declares, so a Runner binds its
 replays and snapshots and reads its k, meter and degraded flag (its layout
 grew, under the same checks) as it does for any other.  `run_checked` runs
-an algorithm over an input on a twin, with its resident copies compared
-against the classic stack after every push and pop.
+an algorithm over an input on a twin, which reads its groups once after
+every push and pop to compare each resident copy with the classic stack.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
+from bisect import bisect_left
+from itertools import zip_longest
 
 from .compressed import CompressedStack, Run
 from .core import ClassicStack, Data
@@ -41,12 +42,11 @@ class TwinStack(CompressedStack):
     Built like the compressed stack it is; every push/pop/top/len/dispose
     also goes to the classic stack, and the answers must agree; pop_run pops
     as many classic entries as it returns and matches each one.  With
-    deep=True, after each push, pop and pop_run all entry copies resident in
-    the compressed structure (explicit runs, signature bottoms, floors) are
-    checked against the classic stack's entry at the same index, and every
-    floor against the classic entries directly below its bottom, or below
-    the next push for an emptied run slot: a push copies a floor from its
-    run slot without probing top.  Otherwise only the space cap is checked.
+    deep=True, after each push, pop and pop_run one walk over the groups
+    checks that every signature bottom and every run, with the floor below
+    it, are the classic entries at their place, in a row, and an emptied run
+    slot's floor the classic top, which a push copies without probing top.
+    Otherwise only the space cap is checked.
     """
 
     __slots__ = ("classic", "deep", "ordinal")
@@ -108,30 +108,23 @@ class TwinStack(CompressedStack):
             self.check_space_cap()
             return
         entries = self.classic.entries
-        index_of = operator.attrgetter("index")
-        for kind, d in self.iter_resident():
-            i = bisect.bisect_left(entries, d.index, key=index_of)
-            if i == len(entries) or entries[i].index != d.index:
-                raise DivergenceError(
-                    self.ordinal,
-                    f"{kind} entry index {d.index} not live in classic stack",
-                )
-            if _key(entries[i]) != _key(d):
-                raise DivergenceError(
-                    self.ordinal,
-                    f"{kind} entry at index {d.index}: {d!r} != classic {entries[i]!r}",
-                )
-        # Every floor holds the classic entries directly below its bottom; an
-        # emptied run slot's, those below the next push: the top ones.
         depth = max(self.k - 1, 0)
-        owners = [(s.bottom, s.floor) for g in self.lists if type(g) is not Run for s in g]
-        owners += [(g[0] if g else None, g.floor) for g in self.lists
-                   if type(g) is Run and (g or g.floor)]
-        for bottom, floor in owners:
-            i = bisect.bisect_left(entries, bottom.index, key=index_of) if bottom else len(entries)
-            if list(map(_key, entries[max(0, i - depth) : i])) != list(map(_key, floor)):
-                raise DivergenceError(self.ordinal, f"floor below {bottom!r} is not "
-                                      "the classic entries there")
+        index_of = operator.attrgetter("index")
+        for group in self.lists:
+            if type(group) is not Run:
+                parts = [((sig.bottom,), sig.floor) for sig in group]
+            else:
+                parts = [(group, group.floor)] if group or group.floor else []
+            for copies, floor in parts:
+                i = bisect_left(entries, copies[0].index, key=index_of) if copies else len(entries)
+                have = [*floor, *copies]
+                want = entries[max(0, i - depth) : i + len(copies)]
+                if list(map(_key, have)) != list(map(_key, want)):
+                    d, w = next((d, w) for d, w in zip_longest(have, want) if _key(d) != _key(w))
+                    index = (d or w).index
+                    c = {e.index: e for e in entries}.get(index)
+                    what = f": {d!r} != classic {c!r}" if c else " not live in classic stack"
+                    raise DivergenceError(self.ordinal, f"resident entry index {index}{what}")
         self.check_invariants()
 
 

@@ -195,8 +195,20 @@ class CompressedStack(StackInterface):
     replays.
     """
 
-    __slots__ = ("geom", "_built", "k", "meter", "replay", "snapshot", "floor", "guard_index",
-                 "_run_end", "lists", "live", "_max_index")
+    __slots__ = (
+        "geom",
+        "_built",
+        "k",
+        "meter",
+        "replay",
+        "snapshot",
+        "floor",
+        "guard_index",
+        "_run_end",
+        "lists",
+        "live",
+        "_max_index",
+    )
 
     def __init__(
         self,
@@ -395,12 +407,9 @@ class CompressedStack(StackInterface):
         return [self.lists[0], self._split(1, 1)] + self.lists[len(self.lists) // 2 + 1 :]
 
     @staticmethod
-    def _counts(groups) -> tuple[int, int, int, list | None, list | None]:
-        """(signatures, entry copies, survivors, lowest and highest group
-        with survivors) in groups.  `_merge` reads all five to fold them
-        into one signature; `dispose` and the checks read the counts."""
+    def _counts(groups) -> tuple[int, int, int]:
+        """(signatures, entry copies, survivors) in groups."""
         sigs = entries = count = 0
-        low = high = None
         for group in groups:
             if type(group) is Run:
                 count += len(group)
@@ -410,11 +419,7 @@ class CompressedStack(StackInterface):
                 for sig in group:
                     count += sig.count
                     entries += 1 + len(sig.floor)
-            if group:
-                if low is None:
-                    low = group
-                high = group
-        return sigs, entries, count, low, high
+        return sigs, entries, count
 
     def _merge(self, groups, into: list) -> None:
         """Append to `into` one signature for the parts of groups, the
@@ -423,15 +428,18 @@ class CompressedStack(StackInterface):
 
         Frees every record the fold drops before allocating the signature;
         the bottom part's bottom and floor records move into it unchanged.
+        An empty group frees nothing: any floor it kept went to `_floor_window`.
         """
-        sigs, entries, count, low, high = self._counts(groups)
-        if low is None:
+        groups = [group for group in groups if group]
+        if not groups:
             return
+        low, high = groups[0], groups[-1]
         if type(low) is Run:
             bottom, floor = low[0], low.floor
         else:
             bottom, floor = low[0].bottom, low[0].floor
         last_index = high[-1].index if type(high) is Run else high[-1].last_index
+        sigs, entries, count = self._counts(groups)
         meter = self.meter
         if sigs:
             meter.free_sig(sigs)
@@ -583,21 +591,7 @@ class CompressedStack(StackInterface):
         meter.free_sig()
         meter.free_entry(1 + len(sig.floor))
 
-    # -- introspection (checker and tests) ---------------------------------
-
-    def iter_resident(self):
-        """Yield (kind, data) for every resident entry copy, bottom to top."""
-        for group in self.lists:
-            if type(group) is Run:
-                for d in group.floor:
-                    yield "floor", d
-                for d in group:
-                    yield "explicit", d
-                continue
-            for sig in group:
-                for d in sig.floor:
-                    yield "floor", d
-                yield "bottom", sig.bottom
+    # -- introspection: the run footer's bound, the checker's checks ------
 
     def resident_data_bound(self) -> int:
         """Cap on the entry copies held by `first` and `second`.

@@ -193,16 +193,14 @@ class LineSource:
 class LineCursor:
     """Reads data lines from a handle, remembering where it stopped.
 
-    A cursor of a LineSource shares the source's handle and keeps the
-    position the handle had when it opened; closing the cursor seeks the
-    handle back there, once, so the enclosing cursor reads on where it
-    stopped.  A cursor built without a resume position leaves the handle
-    where it is.
+    A cursor shares its LineSource's handle and keeps the position the
+    handle had when it opened, `resume`; closing the cursor seeks the handle
+    back there, once, so the enclosing cursor reads on where it stopped.
     """
 
     __slots__ = ("_handle", "_readline", "_pos", "_resume")
 
-    def __init__(self, handle, resume: int | None = None):
+    def __init__(self, handle, resume: int):
         self._handle = handle
         self._readline = handle.readline
         self._pos = handle.tell()

@@ -83,7 +83,7 @@ def test_malformed_line_during_replay_reports_position():
                 return super().cursor(pos)
             handle = io.BytesIO(corrupted)
             handle.seek(pos)
-            return LineCursor(handle)
+            return LineCursor(handle, pos)
 
     with pytest.raises(ParseError) as exc:
         Runner(TestRun(), ChangedOnReplay.from_text(text), CompressedStack(18, 2, 1)).run()
@@ -104,7 +104,7 @@ def test_input_ending_during_replay_reports_position():
                 return super().cursor(pos)
             handle = io.BytesIO(cut)
             handle.seek(pos)
-            return LineCursor(handle)
+            return LineCursor(handle, pos)
 
     meter = MemoryMeter()
     cs = CompressedStack(18, 2, 1, meter=meter)
@@ -555,6 +555,41 @@ class TestChecker:
         runner = Runner(algo, LineSource.from_text(pairs_to_text(pairs)), twin)
         with pytest.raises(DivergenceError, match="index 1000 not live in classic stack"):
             runner.run()
+
+    @staticmethod
+    def _deep_twin(pops):
+        """A deep k=2 twin at p=2 after direct pushes of 1..14 and `pops` pops:
+        `first`'s held[2], lists[7], holds the signatures of [9, 10] and
+        [11, 12], floors [8] and [10], and its run [13, 14] has floor [12]."""
+        twin = TwinStack(16, 2, 2, deep=True)
+        for i in range(1, 15):
+            twin.push(Data(i, i, None, i))
+        for _ in range(pops):
+            twin.pop()
+        return twin
+
+    def test_corrupted_signature_bottom_reported(self):
+        twin = self._deep_twin(0)
+        group = twin.lists[7]
+        group[1] = group[1]._replace(bottom=group[1].bottom._replace(payload=-1))
+        with pytest.raises(DivergenceError, match=r"index 11: Data\(index=11, payload=-1"):
+            twin.verify_now()
+
+    def test_corrupted_signature_floor_reported(self):
+        twin = self._deep_twin(0)
+        group = twin.lists[7]
+        group[0] = group[0]._replace(floor=(group[0].floor[0]._replace(payload=-1),))
+        with pytest.raises(DivergenceError, match=r"index 8: Data\(index=8, payload=-1"):
+            twin.verify_now()
+
+    def test_corrupted_emptied_run_floor_reported(self):
+        # popping 14 and 13 empties the run slot; its floor [12] stays
+        twin = self._deep_twin(2)
+        run = twin.lists[-1]
+        assert not run and [d.index for d in run.floor] == [12]
+        run.floor = (run.floor[0]._replace(index=1000),)
+        with pytest.raises(DivergenceError, match="index 1000 not live in classic stack"):
+            twin.verify_now()
 
     def test_the_drain_checks_each_entry_of_a_run(self):
         # Without deep checks nothing looks at resident entries until they
