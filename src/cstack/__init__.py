@@ -23,7 +23,7 @@ from .compressed import BlockSignature, CompressedStack, PartitionGeometry
 from .generators import GenSpec, generate
 from .metrics import MemoryMeter, RunMetrics, resolve_p
 from .problems import Point2D, TestRun, UpperHull, orientation
-from .runner import LineSource, ParseError, Runner, RunResult, StackAlgorithm, TopAccess
+from .runner import LineSource, ParseError, Runner, RunResult, StackAlgorithm
 
 __all__ = [
     "AccountingError",
@@ -48,7 +48,6 @@ __all__ = [
     "StackError",
     "StackInterface",
     "TestRun",
-    "TopAccess",
     "TwinStack",
     "UpperHull",
     "generate",

@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_sizes(text: str) -> list[int]:
     """Sizes 2^lo..2^hi for an exponent range "lo..hi" or one exponent."""
-    lo, _, hi = text.partition("..")
+    lo, sep, hi = text.partition("..")
     try:
-        a, b = int(lo), int(hi or lo)
+        a, b = int(lo), int(hi if sep else lo)
         if not 0 <= a <= b:
             raise ValueError
     except ValueError:

@@ -97,8 +97,8 @@ class UpperHull(StackAlgorithm):
         return _new_tuple(Point2D, (float(x_s), float(y_s)))
 
     def pop_condition(self, payload: Point2D, ctx, top) -> bool:
-        last = top.top(1)
-        below = top.top(2)
+        last = top(1)
+        below = top(2)
         if below is None:
             # Fewer than two entries available: no turn to evaluate.
             return False
@@ -110,7 +110,7 @@ class UpperHull(StackAlgorithm):
         return orientation(a, b, payload) == 1
 
     def push_condition(self, payload: Point2D, ctx, top) -> bool:
-        last = top.top(1)
+        last = top(1)
         if last is not None and payload.x <= last.payload.x:
             raise ValueError(
                 f"input points not sorted by strictly increasing x at x={payload.x}"

@@ -4,9 +4,9 @@ An algorithm is a set of hooks (`StackAlgorithm`, which also states the
 contracts they keep): parse one input line into a payload, decide per
 element whether to pop (repeatedly) and whether to push, with optional
 pre/post/no actions around each, and a formatter for the final report.  The
-runner executes the loop, feeds the conditions a read-only view of the top-k
-entries (`TopAccess`), and drains the stack into the report when the input
-ends.
+runner executes the loop, hands the conditions `top(j)`, the stack's j-th
+entry from the top for j up to the algorithm's k, and drains the stack into
+the report when the input ends.
 
 The run and every replay share one loop, `Runner._scan`: a stack that
 declares a `replay` delegate, as the compressed stack does, gets the
@@ -25,47 +25,20 @@ import io
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .core import ContractError, Data, DeterminismError, ParseError, StackInterface
 from .metrics import MemoryMeter, RunMetrics
 
 
-class TopAccess:
-    """Read-only window onto the top k entries, handed to the conditions.
-
-    top(j) returns the j-th entry from the top, or None where the stack holds
-    fewer than j entries; j beyond the algorithm's declared depth is an
-    error.  Probes are lazy: a condition that never looks at the stack never
-    pays for deep access.  Every stack's own top reads None beyond its
-    depth, so the view only adds the k check; a stack that declares the
-    same k makes that check itself, so there `top` is the stack's own
-    method.
-    """
-
-    __slots__ = ("top", "k", "_top")
-
-    def __init__(self, stack: StackInterface, k: int):
-        self.k = k
-        if getattr(stack, "k", None) == k:
-            self.top = stack.top
-        else:
-            self._top = stack.top
-            self.top = self._checked_top
-
-    def _checked_top(self, j: int) -> Data | None:
-        if j > self.k:
-            raise ContractError(f"top({j}) outside declared access depth k={self.k}")
-        return self._top(j)
-
-
 class StackAlgorithm:
     """Base hooks. Subclasses set k and override what they need.
 
-    Conditions receive `top`, a TopAccess window; positions the stack cannot
-    answer read as None.  A compressed stack rebuilds folded blocks by
-    running the hooks again over their input, so conditions must be pure
-    functions of (payload, context, top-k view), and the other hooks may
+    Conditions receive `top`, a function: top(j) is the j-th entry from the
+    top, None where the stack holds fewer than j, and a ContractError for j
+    beyond k.  A compressed stack rebuilds folded blocks by running the
+    hooks again over their input, so conditions must be pure functions of
+    (payload, context, top-k entries), and the other hooks may
     mutate the context but nothing else the replay can observe.  The runner
     does not call a pre/post/no hook, or push_condition, that is left as the
     base no-op (push_condition: push always); override it in a subclass or
@@ -88,10 +61,10 @@ class StackAlgorithm:
     def read_input(self, line: str, ctx: Any) -> Any:
         raise NotImplementedError
 
-    def pop_condition(self, payload: Any, ctx: Any, top: TopAccess) -> bool:
+    def pop_condition(self, payload: Any, ctx: Any, top: Callable[[int], Data | None]) -> bool:
         return False
 
-    def push_condition(self, payload: Any, ctx: Any, top: TopAccess) -> bool:
+    def push_condition(self, payload: Any, ctx: Any, top: Callable[[int], Data | None]) -> bool:
         return True
 
     def pre_pop(self, payload: Any, ctx: Any) -> None:
@@ -124,6 +97,22 @@ def _hook(algo: StackAlgorithm, name: str):
     if getattr(hook, "__func__", None) is getattr(StackAlgorithm, name):
         return None
     return hook
+
+
+def _top(stack: StackInterface, k: int) -> Callable[[int], Data | None]:
+    """The conditions' top(j): the stack's own top where the stack declares
+    the same k and so checks j itself, else one that refuses j beyond k.
+    Every stack's own top reads None beyond its depth."""
+    top = stack.top
+    if getattr(stack, "k", None) == k:
+        return top
+
+    def checked_top(j: int) -> Data | None:
+        if j > k:
+            raise ContractError(f"top({j}) outside declared access depth k={k}")
+        return top(j)
+
+    return checked_top
 
 
 class LineSource:
@@ -308,13 +297,13 @@ class Runner:
         passes last_index None and stops at the end of the input; a replay
         stops after last_index and raises ParseError if the input ends
         first.  The hooks are the Runner's (None: not called); stack
-        operations are looked up once per call, and the conditions share one
-        top-k view.  Returns the number of pushes this call made.
+        operations are looked up once per call, and so is the conditions'
+        top (`_top`).  Returns the number of pushes this call made.
         """
         (read_input, pop_condition, pre_pop, post_pop, no_pop, push_condition,
          pre_push, no_push, post_push) = self.hooks
         push, pop, length = stack.push, stack.pop, stack.len
-        view = TopAccess(stack, self.algo.k)
+        top = _top(stack, self.algo.k)
         # Data's generated __new__ only packs its four arguments; the literal
         # below packs them without the Python-level call.
         new_tuple = tuple.__new__
@@ -350,7 +339,7 @@ class Runner:
                 except Exception as exc:
                     raise ParseError(index, line, str(exc)) from exc
                 while length() > 0:
-                    if pop_condition(payload, ctx, view):
+                    if pop_condition(payload, ctx, top):
                         if pre_pop is not None:
                             pre_pop(payload, ctx)
                         popped = pop()
@@ -360,7 +349,7 @@ class Runner:
                         if no_pop is not None:
                             no_pop(payload, ctx)
                         break
-                if push_condition is None or push_condition(payload, ctx, view):
+                if push_condition is None or push_condition(payload, ctx, top):
                     if pre_push is not None:
                         pre_push(payload, ctx)
                     entry = new_tuple(Data, (index, payload, None, pos))

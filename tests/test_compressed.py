@@ -162,7 +162,7 @@ class ProbingTestRun(TestRun):
     k = 2
 
     def push_condition(self, payload, ctx, top):
-        top.top(self.k)
+        top(self.k)
         return True
 
 
@@ -437,7 +437,7 @@ class Misfiring(TestRun):
 
     def push_condition(self, payload, ctx, top):
         if self.k == 2:
-            top.top(2)
+            top(2)
         return True
 
 

@@ -7,7 +7,7 @@ from cstack.compressed import CompressedStack
 from cstack.core import ClassicStack, Data
 from cstack.generators import GenSpec, generate
 from cstack.problems import Point2D, TestRun, UpperHull, orientation
-from cstack.runner import LineSource, Runner, TopAccess
+from cstack.runner import LineSource, Runner
 
 from oracles import upper_hull_chain, upper_hull_wrap
 
@@ -74,7 +74,7 @@ def test_hull_pop_condition_equals_counterclockwise_orientation():
         stack.push(Data(1, a, None, 0))
         stack.push(Data(2, b, None, 0))
         want = orientation(a, b, c)
-        assert hull.pop_condition(c, None, TopAccess(stack, 2)) == (want == 1), (a, b, c)
+        assert hull.pop_condition(c, None, stack.top) == (want == 1), (a, b, c)
         outcomes.add(want)
     assert outcomes == {-1, 0, 1}
 

@@ -730,7 +730,7 @@ class TestTopView:
             self.probes = probes
 
         def push_condition(self, payload, ctx, top):
-            self.probes.append((payload.value, top.top(1), top.top(2)))
+            self.probes.append((payload.value, top(1), top(2)))
             return True
 
     @pytest.mark.parametrize(
@@ -743,6 +743,27 @@ class TestTopView:
         src = LineSource.from_text("5,0\n7,0\n")
         with pytest.raises(ContractError):
             Runner(self.Probing(1, []), src, stack).run()
+
+    @pytest.mark.parametrize(
+        "k, stack, own",
+        [(2, CompressedStack(16, 2, 2), True), (2, TwinStack(16, 2, 2), True),
+         (2, ClassicStack(), False), (1, CompressedStack(16, 2, 2), False)],
+        ids=["compressed-k2", "twin-k2", "classic", "compressed-k2-algo-k1"],
+    )
+    def test_a_stack_declaring_the_algorithms_k_hands_over_its_own_top(self, k, stack, own):
+        # Such a stack checks the depth itself; any other gets a checking wrapper.
+        tops = []
+
+        class Recording(TestRun):
+            def push_condition(self, payload, ctx, top):
+                tops.append(top)
+                return True
+
+        algo = Recording()
+        algo.k = k
+        Runner(algo, LineSource.from_text("5,0\n7,0\n"), stack, drain_report=False).run()
+        assert len(tops) == 2
+        assert all((top == stack.top) == own for top in tops)
 
     @pytest.mark.parametrize(
         "stack", _k2_stacks() + [TwinStack(16, 2, 2)], ids=["classic", "compressed", "twin"]
