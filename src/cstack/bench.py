@@ -65,7 +65,7 @@ def bench(problem: str, kind: str, stack_kind: str, schedule: str | int,
     """Run one problem/stack/schedule over the given sizes; return CSV rows."""
     rows = []
     for n in sizes:
-        if n & (n - 1):
+        if n < 1 or n & (n - 1):
             raise ValueError(f"sizes must be powers of two, got {n}")
         if n > DESK_CAP and not force_large:
             raise ValueError(

@@ -19,18 +19,9 @@ from .runner import LineSource
 
 
 def _input_size(path: str) -> int:
-    """The header's `n=` field if it is an int, else the data-line count."""
+    """The number of data lines: those neither blank nor a `#` comment."""
     # Undecodable bytes are left for the run, which names their line.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            for field in first[1:].split():
-                if field.startswith("n="):
-                    try:
-                        return int(field[2:])
-                    except ValueError:
-                        break
-        fh.seek(0)
         count = 0
         for line in fh:
             s = line.strip()

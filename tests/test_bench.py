@@ -69,8 +69,10 @@ class TestBench:
         assert strip(a) == strip(b)
 
     def test_non_power_of_two_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            bench("testrun", "pushonly", "classic", "10", [1000], cache_dir=tmp_path)
+        for size in (1000, 0):  # 0 & -1 is 0, but 0 is no power of two
+            with pytest.raises(ValueError, match=f"powers of two, got {size}$"):
+                bench("testrun", "pushonly", "classic", "10", [size], cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_desk_cap_enforced(self, tmp_path):
         with pytest.raises(ValueError):
@@ -123,6 +125,11 @@ def test_csv_layout(tmp_path):
         body = list(reader)
     assert len(body) == 1
     assert body[0][0] == "1024"
+
+
+def test_unknown_stack_kind_rejected():
+    with pytest.raises(ValueError, match="unknown stack kind: 'bogus'"):
+        execute_run("testrun", LineSource.from_text("5,0\n"), "bogus", n_expect=None)
 
 
 def test_metrics_csv_fields(tmp_path):

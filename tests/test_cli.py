@@ -46,7 +46,7 @@ def test_run_prints_report_and_metrics_footer(tmp_path, capsys):
     assert int(fields["peak_entries"]) > 0
     assert int(fields["promotions"]) >= 0
     assert int(fields["max_replay_depth"]) >= (int(fields["replay_lines"]) > 0)
-    # the header's n=64 sizes the stack: p = sqrt(64), k = UpperHull's 2
+    # its 64 data lines size the stack: p = sqrt(64), k = UpperHull's 2
     bound = CompressedStack(64, resolve_p("sqrt", 64), UpperHull.k).resident_data_bound()
     assert int(fields["resident_bound"]) == bound
     xs = [float(l.split(",")[0]) for l in hull]
@@ -174,7 +174,7 @@ def test_compare_detects_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert "divergence" in err
 
 
-def test_n_expect_read_from_header(tmp_path, capsys):
+def test_stack_sized_by_its_data_lines_is_not_degraded(tmp_path, capsys):
     path = tmp_path / "h.txt"
     run_cli(capsys, "generate", "--kind", "pushonly", "--n", "128",
             "--rho", "1.0", "--seed", "0", "--out", str(path))
@@ -183,6 +183,30 @@ def test_n_expect_read_from_header(tmp_path, capsys):
                            "--input", str(path))
     assert code == 0
     assert "# degraded_estimate=false" in out
+
+
+@pytest.mark.parametrize("edit, n, bound", [("cut", 100, 22), ("header", 1024, 66)],
+                         ids=["cut_to_100_points", "header_says_n64"])
+def test_stack_sized_by_its_data_lines_not_by_the_header(tmp_path, capsys, edit, n, bound):
+    # an edited file's header no longer tells its size; the data lines do
+    path = tmp_path / "pts.txt"
+    run_cli(capsys, "generate", "--kind", "points", "--n", "1024",
+            "--seed", "7", "--out", str(path))
+    header, *data = path.read_text().splitlines()
+    assert " n=1024 " in header
+    if edit == "cut":
+        lines = [header] + data[:100]
+    else:
+        lines = [header.replace(" n=1024 ", " n=64 ")] + data
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "run", "--problem", "upperhull",
+                             "--stack", "compressed", "--p", "sqrt",
+                             "--input", str(path))
+    assert code == 0, err
+    assert CompressedStack(n, resolve_p("sqrt", n), UpperHull.k).resident_data_bound() == bound
+    footer = out.splitlines()
+    assert f"# resident_bound={bound}" in footer
+    assert "# degraded_estimate=false" in footer
 
 
 @pytest.mark.parametrize("header", ["", "# kind=pushonly n=abc\n"])
@@ -238,3 +262,30 @@ def test_k_sets_the_access_depth(tmp_path, capsys):
                            "--input", str(path))
     assert code == 2
     assert "top(2) outside declared access depth k=1" in err
+
+
+def test_run_out_writes_report_and_footer_to_the_file(tmp_path, capsys):
+    src = tmp_path / "t.txt"
+    src.write_text("5,0\n7,0\n3,2\n9,1\n")
+    dest = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "run", "--problem", "testrun",
+                             "--input", str(src), "--out", str(dest))
+    assert (code, out, err) == (0, "", "")
+    lines = dest.read_text().splitlines()
+    assert lines[0] == "9"
+    assert "# final_stack_len=1" in lines
+    assert lines[-1] == "# degraded_estimate=false"
+
+
+@pytest.mark.parametrize("k, code", [("3", 0), ("1", 2)])
+def test_compare_takes_the_access_depth(tmp_path, capsys, k, code):
+    path = tmp_path / "pts.txt"
+    run_cli(capsys, "generate", "--kind", "points", "--n", "256",
+            "--seed", "3", "--out", str(path))
+    got, out, err = run_cli(capsys, "compare", "--problem", "upperhull",
+                            "--p", "4", "--k", k, "--input", str(path))
+    assert got == code
+    if code:
+        assert "top(2) outside declared access depth k=1" in err
+    else:
+        assert "ok: classic and compressed agree (p=4)" in out

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,14 @@ class TestDirectPushes:
         cs.push(entry(5))
         with pytest.raises(ContractError):
             cs.push(entry(5))
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 4), "expected input size must be positive, got 0"),
+        ((16, 4, -1), "access depth k must be non-negative, got -1"),
+    ])
+    def test_bad_size_or_depth_rejected(self, args, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            CompressedStack(*args)
 
     def test_pop_empty(self):
         cs = CompressedStack(16, 2, k=1)

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from cstack.generators import GenSpec, cycle_pops_after, generate
 
 from oracles import replay_testrun, xmas_height_steps, xmas_peak_height
@@ -126,10 +128,20 @@ class TestPoints:
 
 
 def test_unknown_kind_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         generate(GenSpec("nope", 10))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GenSpec("pushonly", 4, 1.5), "rho must be within [0, 1], got 1.5"),
+    (GenSpec("pushonly", 4, -0.1), "rho must be within [0, 1], got -0.1"),
+    (GenSpec("xmas", 0), "xmas input needs at least one element"),
+    (GenSpec("points", 1), "point input needs at least two points"),
+])
+def test_out_of_range_spec_rejected(spec, message):
+    with pytest.raises(ValueError) as exc:
+        generate(spec)
+    assert str(exc.value) == message
 
 
 def test_out_path_written(tmp_path):

@@ -68,6 +68,35 @@ def test_undecodable_comment_is_skipped():
     assert Runner(TestRun(), src, ClassicStack()).run().report == ["7", "5"]
 
 
+def test_a_parse_error_from_read_input_surfaces_unchanged():
+    class OwnParseError(TestRun):
+        def read_input(self, line, ctx):
+            raise ParseError(99, line, "custom reason")
+
+    src = LineSource.from_text("5,0\n7,0\n")
+    with pytest.raises(ParseError, match=r"^line 99: custom reason in '5,0'$") as exc:
+        Runner(OwnParseError(), src, ClassicStack()).run()
+    assert exc.value.line_no == 99
+    assert exc.value.__cause__ is None
+
+
+def test_no_push_sees_each_declined_element():
+    class DeclinesOdd(TestRun):
+        def __init__(self):
+            self.declined = []
+
+        def push_condition(self, payload, ctx, top):
+            return payload.value % 2 == 0
+
+        def no_push(self, payload, ctx):
+            self.declined.append(payload.value)
+
+    algo = DeclinesOdd()
+    src = LineSource.from_text("1,0\n2,0\n3,0\n4,0\n")
+    assert Runner(algo, src, ClassicStack()).run().report == ["4", "2"]
+    assert algo.declined == [1, 3]
+
+
 def test_malformed_line_during_replay_reports_position():
     # The forward scan reads the clean input; every cursor a replay opens
     # (pos > 0) reads a copy whose line 5 no longer parses.  Pushing 17
@@ -609,6 +638,27 @@ class TestChecker:
         with pytest.raises(DivergenceError, match=r"pop returned Data\(index=15") as exc:
             runner.run()
         assert exc.value.ordinal == 18  # 16 pushes, then the pops of 16 and 15
+
+    @staticmethod
+    def _twin_of_three():
+        twin = TwinStack(16, 2, 1)
+        for i in range(1, 4):
+            twin.push(Data(i, i, None, i))
+        return twin
+
+    def test_top_compares_both_stacks(self):
+        twin = self._twin_of_three()
+        twin.classic.entries[-1] = twin.classic.entries[-1]._replace(payload=-1)
+        with pytest.raises(DivergenceError, match=r"top\(1\) returned Data\(index=3") as exc:
+            twin.top(1)
+        assert exc.value.ordinal == 3
+
+    def test_len_compares_both_stacks(self):
+        twin = self._twin_of_three()
+        twin.classic.pop()
+        with pytest.raises(DivergenceError, match="lengths differ: classic 2, compressed 3") as exc:
+            twin.len()
+        assert exc.value.ordinal == 3
 
     def test_upperhull_instances_pass(self):
         from cstack.generators import GenSpec, generate
