@@ -25,9 +25,11 @@ that were folded away, the signature is expanded again by replaying the
 algorithm's own hooks over the signature's input range, seeded from the
 bottom's snapshot; the floor answers any top-k probe that reaches below the
 replayed range, which always holds at least the bottom itself.  A signature
-whose only survivor is its bottom is restored without a replay.  Replays may
-nest: the replay runs on another, smaller instance of this same structure,
-so resident memory stays bounded even while rebuilding a large block.
+whose survivors are all resident is restored without a replay: its bottom,
+and the others from the floor of an emptied run slot, the top k-1 entries
+then.  Replays may nest: the replay runs on another, smaller instance of
+this same structure, so resident memory stays bounded even while rebuilding
+a large block.
 """
 
 from __future__ import annotations
@@ -483,7 +485,10 @@ class CompressedStack(StackInterface):
         held group is promoted into the group above it, since the active
         block of its level is empty: a previous run becomes the explicit run
         without a replay, and of a held list only the newest sub-block is
-        expanded.  Otherwise the group's newest signature is expanded.
+        expanded.  Otherwise the group's newest signature is expanded.  An
+        emptied run slot's floor, the top k-1 entries, goes to the
+        expansion, which restores the block from it when it holds every
+        survivor above the bottom, and is freed otherwise.
         `_run_end` moves to the top's deepest block before anything moves,
         so that it stays there when an expansion fails.
         """
@@ -491,15 +496,15 @@ class CompressedStack(StackInterface):
         w = len(lists) // 2
         i = len(lists) - 1
         run = lists[i]
-        if run.floor and not run:  # stale: the caller reaches below it
-            self.meter.free_entry(len(run.floor))
+        stale = () if run else run.floor
+        if stale:  # the caller reaches below it
             run.floor = ()
         while not lists[i]:
             i -= 1
         top = lists[i][-1]
         self._set_ref(top.index if type(lists[i]) is Run else top.last_index)
         if i == 0:
-            self._expand_into(0, 1)
+            self._expand_into(0, 1, stale)
         else:
             if i <= w:  # `second` is promoted into `first`'s place
                 lists[w + 1 :] = lists[1 : w + 1]
@@ -512,26 +517,34 @@ class CompressedStack(StackInterface):
                 self.meter.promotions += 1
                 j += 1
             if j < w - 1:
-                self._expand_into(w + 1 + j, j // 2 + 2)
+                self._expand_into(w + 1 + j, j // 2 + 2, stale)
+            elif stale:
+                self.meter.free_entry(len(stale))
         return lists[-1]
 
-    def _expand_into(self, src: int, lv: int) -> None:
+    def _expand_into(self, src: int, lv: int, stale: tuple[Data, ...] = ()) -> None:
         """Pop the signature of a level-lv block from lists[src] and rebuild
         the block in detail inside `first`'s region.
 
-        A block whose only survivor is its bottom needs no replay: the
-        bottom and its floor become the run slot.  Otherwise the
-        replay runs on a scratch stack restricted to the signature's block,
-        where level i is level lv + i here, and must rebuild exactly the
-        signature's survivors, ending on its top entry; `_as_parts` of the
-        scratch then replaces the region's groups from done[lv+1] up.
-        Only a failed replay releases the scratch; it also puts the
-        signature back to lists[src], so the stack stays whole and a retry
-        fails the same way.  Both count as a reconstruction.  An exception
-        that only a hook can raise during the replay becomes a
-        DeterminismError naming the block, chained to the original; the
-        stack's and the input's errors, OSError and MemoryError keep their
-        type.
+        `stale`, the top k-1 entries, comes from an emptied run slot, and
+        the expansion owns it.  A block whose survivors are all resident
+        needs no replay: the bottom and the newest count-1 entries of
+        `stale` when that ends on the signature's last index, or the bottom
+        alone.  They keep their own snapshots: the lowest survivor in each
+        deepest block started a run when it was pushed.  Within one deepest
+        block they become the run slot, with the signature's floor;
+        otherwise they are pushed into a scratch stack restricted to the
+        signature's block, where level i is level lv + i here.  Any other
+        block is replayed on such a scratch, and the replay must rebuild
+        exactly the signature's survivors, ending on its top entry.
+        `_as_parts` of the scratch then replaces the region's groups from
+        done[lv+1] up.  Only a failed rebuild releases the scratch; it also
+        puts the signature back to lists[src], so the stack stays whole and
+        a retry fails the same way.  Each expansion counts as a
+        reconstruction.  An exception that only a hook can raise during the
+        replay becomes a DeterminismError naming the block, chained to the
+        original; the stack's and the input's errors, OSError and
+        MemoryError keep their type.
         """
         lists = self.lists
         base = len(lists) // 2 + 1
@@ -540,24 +553,39 @@ class CompressedStack(StackInterface):
         low = sig.bottom.index
         meter = self.meter
         meter.reconstructions += 1
-        if low == sig.last_index:
+        n = sig.count - 1
+        rest = stale[len(stale) - n :]
+        resident = n <= len(stale) and (not n or rest[-1].index == sig.last_index)
+        g = self.geom
+        # _top_run pointed _run_end at the end of the top's deepest block.
+        if resident and low > self._run_end - g.p:  # all in that block: the run slot
+            if len(stale) > n:
+                meter.free_entry(len(stale) - n)
             meter.free_sig()
-            run = lists[-1] = Run((sig.bottom,))
+            run = lists[-1] = Run((sig.bottom, *rest))
             run.floor = sig.floor
             return
-        g = self.geom
+        if stale:  # a replay rebuilds these entries, and the pushes below count them again
+            meter.free_entry(len(stale))
         scratch = CompressedStack(
             geometry=g.sub_geometry(lv, g.block_start(low, lv)), k=self.k, meter=meter
         )
-        scratch.replay = self.replay
         scratch.floor = sig.floor
-        scratch.guard_index = low
-        meter.replay_depth += 1
-        meter.max_replay_depth = max(meter.max_replay_depth, meter.replay_depth)
         try:
-            if self.replay is None:
-                raise StackError("no replay delegate bound; cannot reconstruct")
-            self.replay(scratch, sig.bottom, sig.last_index)
+            if resident:
+                for d in (sig.bottom, *rest):
+                    scratch.push(d)
+            else:
+                if self.replay is None:
+                    raise StackError("no replay delegate bound; cannot reconstruct")
+                scratch.replay = self.replay
+                scratch.guard_index = low
+                meter.replay_depth += 1
+                meter.max_replay_depth = max(meter.max_replay_depth, meter.replay_depth)
+                try:
+                    self.replay(scratch, sig.bottom, sig.last_index)
+                finally:
+                    meter.replay_depth -= 1
             groups = scratch.lists
             top = groups[-1]
             if scratch.live != sig.count or not top or top[-1].index != sig.last_index:
@@ -585,8 +613,6 @@ class CompressedStack(StackInterface):
                     f"replay of level-{lv} block [{low}..{sig.last_index}] raised {exc!r}"
                 ) from exc
             raise
-        finally:
-            meter.replay_depth -= 1
         lists[base + 2 * lv - 2 :] = scratch._as_parts() if lv < g.h else groups[-1:]
         meter.free_sig()
         meter.free_entry(1 + len(sig.floor))

@@ -103,10 +103,16 @@ class UpperHull(StackAlgorithm):
             # Fewer than two entries available: no turn to evaluate.
             return False
         a, b = below.payload, last.payload
-        # The cross product is at most 0 here, so orientation cannot return
-        # 1; NaN fails the test and is left to orientation.
-        if (b.x - a.x) * (payload.y - b.y) <= (b.y - a.y) * (payload.x - b.x):
+        # orientation's test, inline: its cross product is lhs - rhs.  Where
+        # not lhs > rhs, that is at most 0 or NaN, and orientation gives no 1.
+        lhs = (b.x - a.x) * (payload.y - b.y)
+        rhs = (b.y - a.y) * (payload.x - b.x)
+        if not lhs > rhs:
             return False
+        # Given lhs > rhs, this scale is orientation's max(|lhs|, |rhs|).
+        # Only a near-collinear turn goes to orientation, exact on ints.
+        if lhs - rhs > 1e-12 * (lhs if lhs > -rhs else -rhs):
+            return True
         return orientation(a, b, payload) == 1
 
     def push_condition(self, payload: Point2D, ctx, top) -> bool:

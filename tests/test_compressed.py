@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstack.checker import TwinStack
+from cstack.checker import TwinStack, run_checked
 from cstack.compressed import CompressedStack, PartitionGeometry, Run
 from cstack.core import (
     AccountingError,
@@ -17,7 +17,7 @@ from cstack.core import (
     StackError,
 )
 from cstack.generators import GenSpec, generate
-from cstack.metrics import MemoryMeter, resolve_p
+from cstack.metrics import ENTRY_BYTES, SIG_BYTES, MemoryMeter, resolve_p
 from cstack.problems import TestRun, UpperHull
 from cstack.runner import LineSource, ParseError, Runner
 
@@ -27,6 +27,12 @@ from oracles import replay_testrun
 
 def entry(i, payload=None):
     return Data(i, payload if payload is not None else i * 10, None, 0)
+
+
+def bytes_held(cs):
+    """The bytes the meter must count for what cs's groups hold."""
+    sigs, entries = cs._counts(cs.lists)[:2]
+    return sigs * SIG_BYTES + entries * ENTRY_BYTES
 
 
 class TestDirectPushes:
@@ -250,6 +256,58 @@ def test_held_blocks_keep_the_twin_clean(data):
     assert twin.meter.live_bytes == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_restored_blocks_keep_the_deep_twin_clean(p):
+    # Restoring a block from its resident survivors keeps their snapshots and
+    # copies; the deep twin compares every resident copy with the classic
+    # stack, under the hull (k=2, floors of one) and a context-carrying k=3
+    # algorithm whose two-entry floors restore blocks of up to three.
+    for seed in range(4):
+        text = generate(GenSpec("points", 400, seed=700 + seed))
+        assert run_checked(UpperHull(), LineSource.from_text(text), p, n_expect=400) == (True, None)
+        for kind, rho in (("xmas", 0.5), ("pushonly", 0.5)):
+            text = generate(GenSpec(kind, 400, rho, seed))
+            assert run_checked(DeepProbingTestRun(), LineSource.from_text(text), p,
+                               n_expect=400) == (True, None)
+
+
+class RecordsBelow(TestRun):
+    """A k=2 TestRun whose push condition records what top(2) answers."""
+
+    k = 2
+
+    def __init__(self):
+        self.seen = []
+
+    def push_condition(self, payload, ctx, top):
+        below = top(2)
+        self.seen.append((payload.value, below and below.index))
+        return True
+
+
+def test_a_probe_below_a_scratchs_only_entry_reads_the_blocks_floor():
+    # sizes (16, 4).  The last line pops back into the tail's signature of
+    # [17..32], whose 12 survivors need a replay.  In the replay, line 22
+    # pops 21 and leaves the scratch holding only its bottom, 17, and the
+    # emptied run slot's floor holding only 17 too: top(2) reads 16 from
+    # the signature's floor, below the scratch's live entries, as the run
+    # read it from the stack.
+    pops = {19: 1, 20: 1, 21: 1, 22: 1, 50: 18}
+    text = pairs_to_text((i, pops.get(i, 0)) for i in range(1, 51))
+    classic = RecordsBelow()
+    Runner(classic, LineSource.from_text(text), ClassicStack()).run()
+    algo = RecordsBelow()
+    meter = MemoryMeter()
+    cs = CompressedStack(64, 4, 2, meter=meter)
+    result = Runner(algo, LineSource.from_text(text), cs, drain_report=False).run()
+    assert meter.replay_lines >= 15
+    assert algo.seen.count((22, 16)) == 2  # once in the run, once in the replay
+    assert set(algo.seen) == set(classic.seen)
+    assert result.metrics.final_len == 28
+    cs.dispose()
+    assert meter.live_bytes == 0
+
+
 @pytest.mark.parametrize("kind,rho", [("pushonly", 1.0), ("pushonly", 0.6), ("xmas", 0.0)])
 @pytest.mark.parametrize("schedule", ["sqrt", "log", "4"])
 def test_every_top_run_call_restores_something(monkeypatch, kind, rho, schedule):
@@ -291,6 +349,60 @@ class TestReconstruction:
         assert replays == []
         assert result.metrics.pops == 7
         assert [d.index for d in cs.lists[-1]] == [8]
+
+    def test_a_deepest_block_of_resident_survivors_is_restored_without_a_replay(self):
+        # h = 1, blocks of 4, k = 2: pushing 9 folds {1, 2} into a tail
+        # signature.  Popping 9 and [5..8] leaves the emptied run slot's
+        # floor, 2, on top; with the bottom 1 that is every survivor of the
+        # signature, so the probe of top(2) makes [1, 2] the run slot
+        # without calling the replay delegate.  The entries move: the one
+        # byte call frees the signature, and nothing is allocated.
+        meter = FailingMeter()
+        cs = CompressedStack(16, 4, 2, meter=meter)
+        replays = []
+        cs.replay = lambda *args: replays.append(args)
+        for i in (1, 2, 5, 6, 7, 8, 9):
+            cs.push(entry(i))
+        for _ in range(5):
+            cs.pop()
+        assert cs.lists[0] == [(2, 2, entry(1), ())]
+        calls = meter.calls
+        assert cs.top(2) == entry(1)
+        assert meter.calls == calls + 1
+        assert cs.lists[-1] == [entry(1), entry(2)] and cs.lists[-1].floor == ()
+        assert replays == [] and not cs.lists[0]
+        assert (meter.reconstructions, meter.replay_lines, meter.max_replay_depth) == (1, 0, 0)
+        assert meter.live_bytes == bytes_held(cs)
+        cs.check_invariants()
+        cs.dispose()
+        assert meter.live_bytes == 0
+
+    def test_resident_survivors_in_two_deepest_blocks_are_pushed_back(self):
+        # sizes (16, 4), k = 2: pushing 33 folds the level-1 block {1, 5}
+        # into a tail signature.  Popping 33 and 17 leaves 5 on top, in the
+        # emptied run slot's floor, so the signature's survivors are all
+        # resident, but in two deepest blocks: they are pushed into a
+        # scratch stack, which leaves 1 held as the previous run and 5 as
+        # the run slot, with 1 as its floor, and no replay runs.
+        meter = MemoryMeter()
+        cs = CompressedStack(64, 4, 2, meter=meter)
+        replays = []
+        cs.replay = lambda *args: replays.append(args)
+        for i in (1, 5, 17, 33):
+            cs.push(entry(i))
+        for _ in range(2):
+            cs.pop()
+        assert cs.lists[0] == [(5, 2, entry(1), ())]
+        assert cs.top(2) == entry(1)
+        assert cs.lists[-2:] == [[entry(1)], [entry(5)]]
+        assert cs.lists[-1].floor == (entry(1),)
+        assert replays == [] and not cs.lists[0]
+        assert (meter.reconstructions, meter.replay_lines, meter.max_replay_depth) == (1, 0, 0)
+        assert meter.live_bytes == bytes_held(cs)
+        cs.check_invariants()
+        assert [cs.pop(), cs.pop()] == [entry(5), entry(1)]
+        cs.dispose()
+        assert meter.live_bytes == 0
 
     def test_held_block_replays_only_its_newest_sub_block(self):
         # sizes (27, 9, 3): pushing 10 crosses a level-2 boundary, and the
@@ -676,28 +788,28 @@ GOLDEN = {
     ("xmas", "log", "drained"): (183, 2069, 4024, 340, 2048, 152, 2, 41),
     ("xmas", "sqrt", "scan"): (14, 340, 5584, 340, 1708, 38, 1, 70),
     ("xmas", "sqrt", "drained"): (40, 922, 5584, 340, 2048, 40, 1, 70),
-    ("points", "2", "scan"): (2890, 5873, 1464, 12, 2036, 4214, 3, 19),
-    ("points", "2", "drained"): (3167, 6600, 1464, 12, 2048, 4617, 3, 19),
-    ("points", "log", "scan"): (226, 302, 1624, 12, 2036, 582, 2, 21),
-    ("points", "log", "drained"): (231, 308, 1624, 12, 2048, 585, 2, 21),
-    ("points", "sqrt", "scan"): (38, 82, 1448, 12, 2036, 200, 1, 19),
-    ("points", "sqrt", "drained"): (41, 88, 1448, 12, 2048, 202, 1, 19),
+    ("points", "2", "scan"): (2657, 3638, 1464, 12, 2036, 3699, 2, 18),
+    ("points", "2", "drained"): (2894, 4183, 1464, 12, 2048, 4042, 2, 18),
+    ("points", "log", "scan"): (223, 60, 1624, 12, 2036, 555, 1, 21),
+    ("points", "log", "drained"): (228, 66, 1624, 12, 2048, 558, 1, 21),
+    ("points", "sqrt", "scan"): (38, 30, 1448, 12, 2036, 200, 1, 19),
+    ("points", "sqrt", "drained"): (41, 36, 1448, 12, 2048, 202, 1, 19),
     ("pushonly", "2", "scan"): (0, 0, 3328, 2048, 0, 0, 0, 32),
     ("pushonly", "2", "drained"): (680, 5348, 3672, 2048, 2048, 679, 1, 37),
     ("pushonly", "log", "scan"): (0, 0, 7504, 2048, 0, 0, 0, 86),
     ("pushonly", "log", "drained"): (169, 3230, 7504, 2048, 2048, 18, 1, 86),
     ("pushonly", "sqrt", "scan"): (0, 0, 11488, 2048, 0, 0, 0, 156),
     ("pushonly", "sqrt", "drained"): (43, 1892, 11488, 2048, 2048, 2, 1, 156),
-    ("xmas-k3", "2", "scan"): (570, 1714, 4960, 340, 1708, 989, 3, 68),
-    ("xmas-k3", "2", "drained"): (837, 3321, 4960, 340, 2048, 1458, 3, 70),
-    ("xmas-k3", "log", "scan"): (125, 1177, 7096, 340, 1708, 142, 2, 97),
-    ("xmas-k3", "log", "drained"): (204, 2289, 7096, 340, 2048, 190, 2, 97),
+    ("xmas-k3", "2", "scan"): (570, 1328, 4960, 340, 1708, 989, 2, 68),
+    ("xmas-k3", "2", "drained"): (837, 2786, 4960, 340, 2048, 1458, 2, 70),
+    ("xmas-k3", "log", "scan"): (125, 1172, 7096, 340, 1708, 142, 2, 97),
+    ("xmas-k3", "log", "drained"): (204, 2276, 7096, 340, 2048, 190, 2, 97),
     ("xmas-k3", "sqrt", "scan"): (17, 405, 8720, 340, 1708, 45, 1, 126),
     ("xmas-k3", "sqrt", "drained"): (43, 987, 8720, 340, 2048, 47, 1, 126),
-    ("pushonly-k3", "2", "scan"): (938, 3518, 6064, 989, 1059, 1591, 3, 82),
-    ("pushonly-k3", "2", "drained"): (2378, 9868, 6232, 989, 2048, 3705, 3, 85),
+    ("pushonly-k3", "2", "scan"): (938, 2892, 6064, 989, 1059, 1591, 2, 82),
+    ("pushonly-k3", "2", "drained"): (2378, 8246, 6232, 989, 2048, 3705, 3, 85),
     ("pushonly-k3", "log", "scan"): (11, 83, 11256, 989, 1059, 195, 1, 153),
-    ("pushonly-k3", "log", "drained"): (180, 2955, 11256, 989, 2048, 362, 1, 153),
+    ("pushonly-k3", "log", "drained"): (180, 2857, 11256, 989, 2048, 362, 1, 153),
     ("pushonly-k3", "sqrt", "scan"): (0, 0, 13392, 989, 1059, 36, 0, 190),
     ("pushonly-k3", "sqrt", "drained"): (43, 1814, 13392, 989, 2048, 38, 1, 190),
 }
@@ -852,21 +964,24 @@ def test_a_system_error_in_a_replay_keeps_its_type(exc):
 
 
 def test_a_push_whose_run_start_failed_can_be_retried():
-    # The push crosses a deepest boundary, and copying its k-1 floor entry
-    # needs a replay that no delegate can run; the retry must fail the same
-    # way, not as a push below the last pushed index.
+    # h = 1, blocks of 4: the pops reach the tail's signature of [1..4],
+    # four survivors where an emptied run's one-entry floor holds one, so
+    # it needs a replay that no delegate can run.  The push crosses a
+    # deepest boundary, and copying its k-1 floor entry needs that replay;
+    # the retry must fail the same way, not as a push below the last
+    # pushed index.
     meter = MemoryMeter()
-    cs = CompressedStack(64, 2, 2, meter=meter)
-    for i in range(1, 40):
+    cs = CompressedStack(16, 4, 2, meter=meter)
+    for i in range(1, 13):
         cs.push(entry(i))
-    for _ in range(3):
+    for _ in range(8):
         cs.pop()
     with pytest.raises(StackError, match="no replay delegate bound"):
         cs.pop()
     errors = []
     for _ in range(2):
         with pytest.raises(StackError) as exc:
-            cs.push(entry(50))
+            cs.push(entry(13))
         errors.append((type(exc.value), str(exc.value)))
         cs.check_invariants()
     assert errors[0] == errors[1]

@@ -36,7 +36,7 @@ class TestOrientation:
 def _hull_triples():
     """(a, b, c) point triples for the hull's pop condition: random ints and
     floats, collinear ones, ones within orientation's relative tolerance,
-    and ones with inf and nan coordinates."""
+    ints beyond float precision, and ones with inf and nan coordinates."""
     rng = random.Random(41)
     triples = []
     for _ in range(200):
@@ -59,6 +59,11 @@ def _hull_triples():
         c = pts[2]
         for nudge in (0.0, 5e-16, -5e-16, 1e-13, -1e-13, 1e-9, -1e-9):
             triples.append((pts[0], pts[1], Point2D(c.x, c.y * (1 + nudge) + nudge)))
+    # ints beyond float precision: turns within the relative tolerance that
+    # only an exact integer test decides
+    big = 10 ** 20
+    for dy in (1, -1, 0):
+        triples.append((Point2D(0, 0), Point2D(big, big), Point2D(2 * big, 2 * big + dy)))
     special = (0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)
     for _ in range(300):
         triples.append(tuple(Point2D(rng.choice(special), rng.choice(special))
