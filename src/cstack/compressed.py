@@ -34,7 +34,6 @@ a large block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -50,16 +49,15 @@ from .core import (
 from .metrics import MemoryMeter
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionGeometry:
+class PartitionGeometry(NamedTuple):
     """Block layout for one structure: level sizes and the covered origin.
 
     sizes[i] is the number of input positions per level-(i+1) block; level-1
-    blocks tile the input starting at `origin`, and each deeper level tiles
-    the inside of its parent block, so a boundary at level i is by
-    construction also a boundary at every level below i.  `last_expected` is
-    the last index the layout covers: the end of its p-th level-1 block, or
-    of its one block in a replay's layout of one deepest block.
+    blocks tile the input from `origin`, and each deeper level tiles the
+    inside of its parent block, so a level-i boundary is one at every level
+    below i too.  `last_expected` is the last index the layout covers: the
+    end of its p-th level-1 block, or of a replay's one deepest block.  A
+    named tuple: `sub_geometry` builds one per replay with `tuple.__new__`.
     """
 
     last_expected: int
@@ -114,12 +112,13 @@ class PartitionGeometry:
         s = self.sizes[level - 1]
         return self.origin + (idx - self.origin) // s * s
 
-    def sub_geometry(self, level: int, start: int) -> "PartitionGeometry":
-        """Layout for the inside of one level-`level` block starting at `start`."""
+    def sub_geometry(self, level: int, idx: int) -> "PartitionGeometry":
+        """Layout for the inside of the level-`level` block containing idx."""
+        s = self.sizes[level - 1]
+        start = idx - (idx - self.origin) % s
         # a level-h block is one block of its own deepest size
         rest = self.sizes[level:] or self.sizes[-1:]
-        return PartitionGeometry(start + self.sizes[level - 1] - 1, rest, start)
-
+        return tuple.__new__(PartitionGeometry, (start + s - 1, rest, start))
 
 
 class BlockSignature(NamedTuple):
@@ -131,7 +130,7 @@ class BlockSignature(NamedTuple):
     are readable during a replay of this block but never poppable.  The
     block's level is where the signature sits: level 1 in the tail, level lv
     in a region's done[lv] or among the parts of its held[lv-1].  A named
-    tuple, as `Data` is; `_merge` builds it with `tuple.__new__`.
+    tuple, as `Data` is; the folds build it with `tuple.__new__`.
     """
 
     last_index: int
@@ -172,12 +171,11 @@ class CompressedStack(StackInterface):
     entries counting as level h+1.  `second`'s region is held[1], the
     previous level-1 block.  `first`'s explicit run, the last group, is the
     run slot: pushes go there, and it holds the top entry; with h = 1 it is
-    the region's only group.  `_run_end` is the last index of the run slot's
-    deepest block, and starts below the origin so that the first push
-    crosses a level-1 boundary.  Most run starts cross a level-h boundary
-    only: the run moves into held[h] whole, folding just what held[h] held.
-    `geom` grows a level when a push goes beyond it; `dispose` restores the
-    layout the stack was built with.
+    the region's only group.  `_run_end`, the last index of the run slot's
+    deepest block, starts at the end of the first one: a first push there
+    crosses nothing.  Most run starts cross a level-h boundary only: the run
+    moves into held[h] whole, folding what held[h] held.  `geom` grows a
+    level when a push goes beyond it; `dispose` restores the built layout.
 
     Unlike the classic stack's value array, every entry copy resident here
     (explicit runs, signature bottoms and floors) is held through a pointer
@@ -221,11 +219,9 @@ class CompressedStack(StackInterface):
         meter: MemoryMeter | None = None,
         geometry: PartitionGeometry | None = None,
     ):
-        if geometry is None:
-            geometry = PartitionGeometry.for_input(n_expect, p)
         if k < 0:
             raise ContractError(f"access depth k must be non-negative, got {k}")
-        self._built = geometry
+        self._built = geometry or PartitionGeometry.for_input(n_expect, p)
         self.k = k
         self.meter = meter if meter is not None else MemoryMeter()
         self.replay: Callable | None = None
@@ -236,12 +232,12 @@ class CompressedStack(StackInterface):
 
     def _reset(self) -> None:
         """Empty the stack on the layout it was built with, for the next push."""
-        self.geom = self._built
-        w = 2 * self.geom.h - 1
-        self._set_ref(self.geom.origin - 1)
-        self.lists: list[list] = [[]] + _groups(w) + _groups(w)
+        g = self.geom = self._built
+        w = 2 * len(g.sizes) - 1
+        self._run_end = g.origin + g.sizes[-1] - 1
+        self.lists: list[list] = [Run() if i and not i % w else [] for i in range(2 * w + 1)]
         self.live = 0
-        self._max_index = self.geom.origin - 1
+        self._max_index = g.origin - 1
 
     @property
     def degraded(self) -> bool:
@@ -270,7 +266,7 @@ class CompressedStack(StackInterface):
         if not (run := self.lists[-1]) or index > self._run_end:
             run = self._start_run(index)
             if self.snapshot is not None:
-                d = Data(index, d.payload, self.snapshot(), d.stream_pos)
+                d = tuple.__new__(Data, (index, d.payload, self.snapshot(), d.stream_pos))
         # Only now: a push whose run start failed can be retried.
         self._max_index = index
         run.append(d)
@@ -350,11 +346,20 @@ class CompressedStack(StackInterface):
         """
         # Before any fold: copying the floor can replay into `first`, and a
         # crossing would move or drop an emptied run slot with its floor.
-        floor = self._floor_window()
+        floor = self._floor_window() if self.k > 1 else ()
         lists = self.lists
         w = len(lists) // 2  # groups per region
         cross = self.geom.cross_level(self._run_end, index)
-        if cross == 1:
+        if cross == (w + 1) // 2 and (run := lists[-1]) and index <= self.geom.last_expected:
+            # level h alone (held[1] is `second`), folding held[h] as `_merge` would
+            if held := lists[-2]:
+                if (n := len(held)) > 1:
+                    self.meter.free_entry(n - 1)
+                self.meter.alloc_sig()
+                sig = (held[-1].index, n, held[0], held.floor)
+                lists[-3].append(tuple.__new__(BlockSignature, sig))
+            lists[-2], lists[-1] = run, Run()
+        elif cross == 1:
             while index > self.geom.last_expected:
                 lists[:] = [[]] + _groups(w + 2) + self._as_parts()
                 self.geom = self.geom.grown()
@@ -378,8 +383,8 @@ class CompressedStack(StackInterface):
         assert not run
         # The slot's floor is already () whenever floor is, so an empty one
         # is not written (that would build the run's instance dict): a
-        # crossing leaves a fresh slot, and _floor_window returns, emptied,
-        # any non-empty floor the slot held.
+        # crossing leaves a fresh or an empty slot, _floor_window returns,
+        # emptied, any non-empty floor the slot held, and at k <= 1 none has one.
         if floor:
             run.floor = floor
             self.meter.alloc_entry(len(floor))
@@ -395,12 +400,10 @@ class CompressedStack(StackInterface):
         end = base + len(lists) // 2
         i = base + 2 * c - 2
         parts = lists[i]
-        if i < end - 1:
+        if i < end - 1:  # else c = h: the run alone
             for groups in (lists[i + 1 : i + 2], lists[i + 2 : end]):
                 self._merge(groups, parts)
-            lists[i:end] = _groups(end - i)
-        else:  # c = h: the run alone
-            lists[i] = Run()
+        lists[i:end] = _groups(end - i)
         return parts
 
     def _as_parts(self) -> list:
@@ -464,7 +467,7 @@ class CompressedStack(StackInterface):
         """
         depth = self.k - 1
         run = self.lists[-1]
-        if len(run) >= depth:  # also k <= 1, where the slice is empty
+        if len(run) >= depth:
             return tuple(run[len(run) - depth :])
         if not run and run.floor:
             win = run.floor
@@ -567,9 +570,7 @@ class CompressedStack(StackInterface):
             return
         if stale:  # a replay rebuilds these entries, and the pushes below count them again
             meter.free_entry(len(stale))
-        scratch = CompressedStack(
-            geometry=g.sub_geometry(lv, g.block_start(low, lv)), k=self.k, meter=meter
-        )
+        scratch = CompressedStack(geometry=g.sub_geometry(lv, low), k=self.k, meter=meter)
         scratch.floor = sig.floor
         try:
             if resident:

@@ -163,9 +163,7 @@ class LineSource:
                 )
         elif handle is None:
             handle = self._handle = io.BytesIO(self._data)
-        resume = handle.tell()
-        handle.seek(pos)
-        return LineCursor(handle, resume)
+        return LineCursor(handle, pos)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -182,18 +180,19 @@ class LineSource:
 class LineCursor:
     """Reads data lines from a handle, remembering where it stopped.
 
-    A cursor shares its LineSource's handle and keeps the position the
-    handle had when it opened, `resume`; closing the cursor seeks the handle
-    back there, once, so the enclosing cursor reads on where it stopped.
+    A cursor shares its LineSource's handle: opening it notes where the
+    handle is, `resume`, and seeks the handle to `pos`; closing it seeks the
+    handle back, once, so the enclosing cursor reads on where it stopped.
     """
 
     __slots__ = ("_handle", "_readline", "_pos", "_resume")
 
-    def __init__(self, handle, resume: int):
+    def __init__(self, handle, pos: int):
         self._handle = handle
         self._readline = handle.readline
-        self._pos = handle.tell()
-        self._resume = resume
+        self._resume = handle.tell()
+        handle.seek(pos)
+        self._pos = pos
 
     def read(self) -> tuple[str, int] | None:
         """Next data line and the byte position just after it, or None at EOF."""

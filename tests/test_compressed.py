@@ -65,6 +65,72 @@ class TestDirectPushes:
         assert [(s.bottom.index, s.last_index, s.count) for s in sigs] == [(1, 3, 3)]
         cs.check_invariants()
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("index", [1, 3, 4, 10, 28, 100])
+    def test_fresh_stacks_first_push_allocates_one_entry(self, k, index):
+        # sizes (9, 3): 1 and 3 sit in the first deepest block, 4 beyond it,
+        # 10 beyond the first level-1 block and 28, 100 beyond the layout,
+        # which then grows.  Whatever it crosses is empty, so the push folds
+        # nothing: one entry, one meter call, no signature.
+        meter = FailingMeter()
+        cs = CompressedStack(27, 3, k, meter=meter)
+        run = cs.lists[-1]
+        cs.push(entry(index))
+        assert meter.log == [("alloc_entry", 1)]
+        assert meter.live_bytes == ENTRY_BYTES
+        assert not any(group for group in cs.lists[:-1])
+        assert cs.lists[-1] == [entry(index)] and cs.lists[-1].floor == ()
+        # inside the first deepest block the run starts in the slot a fresh
+        # stack was built with: no crossing replaced it
+        assert (cs.lists[-1] is run) == (index <= 3)
+        cs.check_invariants()
+        cs.dispose()
+        assert meter.live_bytes == 0
+
+    def test_scratchs_first_push_takes_its_floor(self):
+        # A replay's scratch starts its first run on the block's floor: one
+        # call for the floor copies, one for the entry, still no signature.
+        meter = FailingMeter()
+        g = PartitionGeometry.for_input(27, 3)  # sizes (9, 3)
+        scratch = CompressedStack(geometry=g.sub_geometry(2, 5), k=3, meter=meter)
+        scratch.floor = (entry(2), entry(3))
+        scratch.push(entry(5))
+        assert meter.log == [("alloc_entry", 2), ("alloc_entry", 1)]
+        assert scratch.lists[-1] == [entry(5)]
+        assert scratch.lists[-1].floor == (entry(2), entry(3))
+        scratch.check_invariants()
+        scratch.dispose()
+        assert meter.live_bytes == 0
+
+    @pytest.mark.parametrize("geometry", [
+        PartitionGeometry(64, (16, 4)),  # h = 2: held[2] folds into done[2]
+        PartitionGeometry(16, (4,)),  # h = 1: `second` folds into the tail
+    ])
+    def test_deepest_crossing_folds_the_held_run_into_one_signature(self, geometry):
+        meter = FailingMeter()
+        cs = CompressedStack(geometry=geometry, k=2, meter=meter)
+        for i in range(1, 13):
+            cs.push(entry(i))
+        held, run, below = cs.lists[-2], cs.lists[-1], cs.lists[-3]
+        assert held == [entry(i) for i in (5, 6, 7, 8)] and held.floor == (entry(4),)
+        folded = len(below)
+        del meter.log[:]
+        cs.push(entry(13))
+        assert len(below) == folded + 1
+        sig = below[-1]
+        assert (sig.last_index, sig.count) == (8, len(held))
+        assert sig.bottom is held[0] and sig.floor is held.floor
+        assert cs.lists[-2] is run and cs.lists[-1] == [entry(13)]
+        assert cs.lists[-1].floor == (entry(12),)
+        # the three entries above the bottom go, then the signature comes;
+        # then the new run's floor copy and the entry itself
+        assert meter.log == [("free_entry", 3), ("alloc_sig", 1), ("alloc_entry", 1),
+                             ("alloc_entry", 1)]
+        assert meter.live_bytes == bytes_held(cs)
+        cs.check_invariants()
+        cs.dispose()
+        assert meter.live_bytes == 0
+
     def test_new_top_block_demotes_components(self):
         cs = CompressedStack(16, 2, k=1)
         for i in (1, 2, 3):
@@ -752,7 +818,9 @@ def test_dispose_returns_all_bytes():
 def test_set_ref_ends_the_deepest_block_of_its_index(data):
     # _set_ref works _run_end out with one modulo on p; it must still be the
     # last index of the deepest block holding the index, below the origin
-    # too, where a fresh stack points it so that its first push crosses.
+    # too.  A fresh stack points it at the end of its first deepest block,
+    # so that a first push inside that block starts its run without a
+    # crossing.
     p = data.draw(st.integers(2, 12))
     sizes = (p,)
     for _ in range(data.draw(st.integers(0, 3))):
@@ -760,7 +828,7 @@ def test_set_ref_ends_the_deepest_block_of_its_index(data):
     origin = data.draw(st.integers(1, 10 ** 6))
     g = PartitionGeometry(origin - 1 + p * sizes[0], sizes, origin)
     cs = CompressedStack(geometry=g)
-    assert cs._run_end == origin - 1
+    assert cs._run_end == origin + p - 1
     inside = st.lists(st.integers(origin, g.last_expected), max_size=20)
     for index in [origin - 1, *data.draw(inside)]:
         cs._set_ref(index)
@@ -992,34 +1060,37 @@ def test_a_push_whose_run_start_failed_can_be_retried():
 
 class FailingMeter(MemoryMeter):
     """A meter whose `fail_at`-th byte call raises MemoryError before it
-    counts anything; `calls` counts the byte calls made."""
+    counts anything; `calls` counts the byte calls made, and `log` lists
+    them as (name, count)."""
 
-    __slots__ = ("calls", "fail_at")
+    __slots__ = ("calls", "fail_at", "log")
 
     def __init__(self, fail_at=0):
         super().__init__()
         self.calls = 0
         self.fail_at = fail_at
+        self.log = []
 
-    def _call(self):
+    def _call(self, name, count):
         self.calls += 1
+        self.log.append((name, count))
         if self.calls == self.fail_at:
             raise MemoryError
 
     def alloc_entry(self, count=1):
-        self._call()
+        self._call("alloc_entry", count)
         super().alloc_entry(count)
 
     def free_entry(self, count=1):
-        self._call()
+        self._call("free_entry", count)
         super().free_entry(count)
 
     def alloc_sig(self, count=1):
-        self._call()
+        self._call("alloc_sig", count)
         super().alloc_sig(count)
 
     def free_sig(self, count=1):
-        self._call()
+        self._call("free_sig", count)
         super().free_sig(count)
 
 
